@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,8 +33,11 @@ class RunConfig:
     show_profile: bool = False
 
     def validate(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {self.tolerance!r}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
         if self.range_bound is not None and self.range_bound < 3:
             raise ValueError("range bound must be at least 3")
         for t in self.targets:

@@ -67,10 +67,22 @@ class KroneckerCharacter:
 
     @classmethod
     def from_discriminant(cls, d):
+        """Tabulate (d / a) for 0 <= a < |d|.  The symbol is completely
+        multiplicative in a, so only primes need `kronecker_symbol`; a
+        composite a is chi(p) * chi(a / p) with p its smallest prime factor."""
         if not is_fundamental_discriminant(d):
             raise DiscriminantError(_fundamental_failure(d))
         q = abs(d)
-        return cls(d, q, tuple(kronecker_symbol(d, a) for a in range(q)))
+        spf = [0] * q
+        # descending, so the smallest factor is written last
+        for p in range(isqrt(q - 1), 1, -1):
+            spf[p * p::p] = [p] * len(range(p * p, q, p))
+        values = [0] * q
+        values[1] = 1
+        for a in range(2, q):
+            p = spf[a]
+            values[a] = values[p] * values[a // p] if p else kronecker_symbol(d, a)
+        return cls(d, q, tuple(values))
 
     def __call__(self, a):
         return self.values[a % self.modulus]

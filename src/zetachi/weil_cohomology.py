@@ -10,6 +10,7 @@ h*R/w, which is compared against an independent analytic oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +21,8 @@ import numpy as np
 from .abelian import FgAbGroup
 from .exact_determinant import (
     BasedRealComplex,
+    ExactnessError,
     GradedGroupComplex,
-    check_exact,
     euler_characteristic,
     torsion_alternating_product,
 )
@@ -117,24 +118,23 @@ def compact_support_profile(inv: QuadraticFieldInvariants,
     )
 
 
+def _open_from_compact(compact):
+    return (FgAbGroup.free(1), FgAbGroup.trivial(), compact[2], compact[3])
+
+
 def open_profile(inv: QuadraticFieldInvariants,
                  class_group: Optional[FgAbGroup] = None):
     """H^0..H^3 without supports: (Z, 0, same degree 2, Z/w)."""
-    compact = compact_support_profile(inv, class_group)
-    return (
-        FgAbGroup.free(1),
-        FgAbGroup.trivial(),
-        compact[2],
-        FgAbGroup.cyclic(inv.w),
-    )
+    return _open_from_compact(compact_support_profile(inv, class_group))
+
+
+def _profile_from_compact(compact) -> CohomologyProfile:
+    return CohomologyProfile(compact=compact, open=_open_from_compact(compact))
 
 
 def cohomology_profile(inv: QuadraticFieldInvariants,
                        class_group: Optional[FgAbGroup] = None) -> CohomologyProfile:
-    return CohomologyProfile(
-        compact=compact_support_profile(inv, class_group),
-        open=open_profile(inv, class_group),
-    )
+    return _profile_from_compact(compact_support_profile(inv, class_group))
 
 
 def psi_complex(inv: QuadraticFieldInvariants,
@@ -166,17 +166,19 @@ def verify_field(d, tol: float = 1e-9,
     """Build the profile for one field, compute its Euler characteristic,
     and compare with the analytic oracle.  Absolute values only: the sign
     of the identity is not asserted."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be positive and finite")
     t0 = time.perf_counter()
     inv = field_invariants(d)
-    profile = cohomology_profile(inv, class_group)
     based, graded = psi_complex(inv, class_group)
-    if not check_exact(based):
+    # the psi-complex is built on the compact profile; reuse its groups
+    profile = _profile_from_compact(graded.groups)
+    try:
+        chi = euler_characteristic(graded)
+    except ExactnessError as exc:
         raise PsiComplexNotExactError(
             f"log-absolute-value complex for d = {d!r} is not exact"
-        )
-    chi = euler_characteristic(graded)
+        ) from exc
     chi_exact = None
     if inv.unit_rank == 0:
         chi_exact = torsion_alternating_product(graded.groups)

@@ -3,12 +3,24 @@
 The zeta function of a quadratic field factors as the Riemann zeta function
 times the L-function of the attached real character, so the value at 0 only
 needs finite character sums: an exact rational first-moment sum for odd
-characters and a log-gamma sum for the derivative in the even case.  No
-class number, regulator, or unit enters anywhere in this module.
+characters, and for the derivative in the even case the sine form of
+Lerch's formula,
+
+    L'(0, chi) = -sum_{1 <= a < q/2} chi(a) log sin(pi a / q),
+
+summed in float64 with `math.fsum` (Washington, Cyclotomic Fields, GTM 83,
+ch. 4).  It follows from Lerch's `L'(0, chi) = sum_{a<q} chi(a) log Gamma(a/q)`
+by pairing a with q - a and applying the reflection formula, since chi is
+even.  The Stirling-series `log_gamma` is kept as the independent
+cross-check: the test suite requires the two routes to agree to 1e-12
+relative for every real field with d <= 300 and for fixed d up to 10^4
+(`test_L_prime_sine_matches_log_gamma_sum`).  No class number, regulator,
+or unit enters anywhere in this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -62,21 +74,23 @@ class ZetaStarValue:
 def log_gamma(x, dps: int = _DPS):
     """log Gamma(x) for x > 0 by upward recurrence and the Stirling series.
 
-    Accepts Fractions (evaluated exactly at working precision).  Accuracy is
-    far below 1e-13 absolute for the arguments used here; the test suite
+    Accepts Fractions, ints and floats, all evaluated exactly at working
+    precision: the recurrence shift is one log of the exact rational
+    product x (x+1) ... (x+n-1) that lifts x to z = x + n >= 24.  Accuracy
+    is far below 1e-13 absolute for the arguments used here; the test suite
     checks the reflection and duplication identities.
     """
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError("log_gamma requires a positive argument")
+    n = max(0, math.ceil(_STIRLING_SHIFT - x))
+    num, den = x.numerator, x.denominator
+    rising = 1
+    for j in range(n):
+        rising *= num + j * den
     with mpmath.workdps(dps + 10):
-        if isinstance(x, Fraction):
-            z = mpmath.mpf(x.numerator) / x.denominator
-        else:
-            z = mpmath.mpf(x)
-        if z <= 0:
-            raise ValueError("log_gamma requires a positive argument")
-        shift = mpmath.mpf(0)
-        while z < _STIRLING_SHIFT:
-            shift -= mpmath.log(z)
-            z += 1
+        z = mpmath.mpf(num + n * den) / den
+        shift = -mpmath.log(mpmath.mpf(rising) / den ** n)
         out = (z - mpmath.mpf(1) / 2) * mpmath.log(z) - z \
             + mpmath.log(2 * mpmath.pi) / 2
         zpow = z
@@ -95,18 +109,16 @@ def L_at_zero(chi: KroneckerCharacter) -> Fraction:
     return Fraction(-sum(chi(a) * a for a in range(1, q)), q)
 
 
-def L_prime_at_zero(chi: KroneckerCharacter, dps: int = _DPS) -> float:
-    """L'(0, chi) for an even nontrivial character, as a log-gamma sum."""
+def L_prime_at_zero(chi: KroneckerCharacter) -> float:
+    """L'(0, chi) for an even nontrivial character, by the sine form of
+    Lerch's formula over 1 <= a < q/2 (chi(q/2) = 0 when q is even), so
+    every sine argument lies in (0, pi/2]."""
     if chi.is_odd:
-        raise ParityError("L'(0, chi) by log-gamma sum needs an even character")
+        raise ParityError("L'(0, chi) by the sine formula needs an even character")
     q = chi.modulus
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for a in range(1, q):
-            v = chi(a)
-            if v:
-                total += v * log_gamma(Fraction(a, q), dps)
-        return float(total)
+    values = chi.values
+    return -math.fsum(values[a] * math.log(math.sin(math.pi * a / q))
+                      for a in range(1, (q + 1) // 2) if values[a])
 
 
 def zeta_star_at_zero(d) -> ZetaStarValue:

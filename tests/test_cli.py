@@ -23,6 +23,8 @@ def test_config_validate_rejects_bad_inputs():
         RunConfig(targets=[5], tolerance=0).validate()
     with pytest.raises(ValueError):
         RunConfig(range_bound=2).validate()
+    with pytest.raises(ValueError):
+        RunConfig(targets=[5], jobs=0).validate()
     RunConfig(targets=[RATIONAL_FIELD, -4, 5]).validate()
 
 
@@ -110,6 +112,22 @@ def test_main_usage_error_exit_two(capsys):
         main(["--field", "6"])
     assert exc.value.code == USAGE_ERROR
     assert "6 is not a fundamental discriminant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tol", "inf"], "tolerance must be positive and finite"),
+    (["--tol", "nan"], "tolerance must be positive and finite"),
+    (["--tol", "0"], "tolerance must be positive and finite"),
+    (["--tol", "-1"], "tolerance must be positive and finite"),
+    (["--jobs", "0"], "jobs must be at least 1"),
+])
+def test_main_rejects_bad_tol_and_jobs(capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", "5"] + flags)
+    assert exc.value.code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("zetachi: error: ")
+    assert message in err
 
 
 def test_main_no_targets_usage_error():

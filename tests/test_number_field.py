@@ -44,6 +44,15 @@ def test_kronecker_matches_euler_criterion():
             assert kronecker_symbol(d, p) == euler, (d, p)
 
 
+# the corpus plus fundamental discriminants near 10^4 of each sign and
+# residue class: 9973 and 8012 = 4 * 2003, -9995 = -5 * 1999, -9988 = -4 * 2497
+@pytest.mark.parametrize("d", CORPUS + [9973, 8012, -9995, -9988])
+def test_character_table_matches_kronecker_symbol(d):
+    chi = KroneckerCharacter.from_discriminant(d)
+    assert chi.modulus == abs(d)
+    assert chi.values == tuple(kronecker_symbol(d, a) for a in range(abs(d)))
+
+
 @given(st.sampled_from([d for d in CORPUS if abs(d) <= 60]),
        st.integers(0, 400), st.integers(0, 400))
 @settings(max_examples=120, deadline=None)

@@ -14,6 +14,7 @@ from zetachi.weil_cohomology import (
     DETERMINANT_CONVENTION,
     WEIL_GROUP_H2_METADATA,
     InternalIdentityError,
+    PsiComplexNotExactError,
     cohomology_profile,
     compact_support_profile,
     open_profile,
@@ -114,8 +115,19 @@ def test_verify_real_field():
 
 
 def test_verify_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        verify_field(5, tol=0.0)
+    for tol in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            verify_field(5, tol=tol)
+
+
+def test_verify_non_exact_psi_complex_raises(monkeypatch):
+    import zetachi.weil_cohomology as wc
+    inv = field_invariants(5)
+    # a zero regulator makes the pairing map zero, so the complex is not exact
+    broken = inv.__class__(**{**inv.__dict__, "regulator": 0.0})
+    monkeypatch.setattr(wc, "field_invariants", lambda d: broken)
+    with pytest.raises(PsiComplexNotExactError):
+        wc.verify_field(5)
 
 
 def test_verify_corpus_all_pass():
