@@ -1,17 +1,20 @@
 """Exact integer linear algebra.
 
-Smith normal form with transforms, finitely generated abelian groups in
-invariant-factor normal form, and cohomology of integer cochain complexes.
-Everything here is exact: a numpy int64 fast path is used when entry bounds
-permit, with an automatic fall back to arbitrary-precision Python integers.
+Finitely generated abelian groups in invariant-factor normal form, and
+cohomology of integer cochain complexes by the rank formula
+H^q = Z^{n_q - rk d_q - rk d_{q-1}} + tors(coker d_{q-1}).  One engine,
+sparse elimination on {column: value} rows without transforms, gives the
+Smith diagonal that both presentations and cohomology read.  The Smith
+normal form with its unimodular transforms is kept as the reference that
+the tests compare the engine against.  Everything is exact Python-integer
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from math import gcd, prod
-
-import numpy as np
 
 __all__ = [
     "IntMatrix",
@@ -24,16 +27,8 @@ __all__ = [
     "complex_cohomology",
 ]
 
-# Conservative bound: |q| * |pivot row| + |entry| must stay below 2^62.
-_INT64_SAFE = 1 << 60
-
-
 class MalformedComplexError(ValueError):
     """Consecutive coboundaries do not compose to zero."""
-
-
-class _OverflowToExact(Exception):
-    """Internal: the int64 fast path would overflow; redo with Python ints."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,7 @@ class IntMatrix:
             cols = len(rows[0]) if rows else 0
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls(m, cols, tuple(x for r in rows for x in r))
+        return cls(m, cols, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def zero(cls, rows, cols):
@@ -90,9 +85,11 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        n = other.cols
         return IntMatrix.from_rows(
-            _matmul(self.to_rows(), other.to_rows(), self.rows, self.cols, other.cols),
-            other.cols,
+            [[r.get(j, 0) for j in range(n)]
+             for r in _sparse_product(_sparse_rows(self), _sparse_rows(other))],
+            n,
         )
 
     def is_zero(self):
@@ -172,29 +169,46 @@ class CochainComplex:
                                  f"expected {(self.dims[p + 1], self.dims[p])}")
 
     def validate_composition(self):
-        for p in range(len(self.boundaries) - 1):
-            if not (self.boundaries[p + 1] @ self.boundaries[p]).is_zero():
+        rows = [_sparse_rows(b) for b in self.boundaries]
+        for p in range(len(rows) - 1):
+            if any(_sparse_product(rows[p + 1], rows[p])):
                 raise MalformedComplexError(
                     f"boundary composition at degree {p} is not zero"
                 )
 
 
 # ---------------------------------------------------------------------------
-# matrix multiplication with int64 fast path
+# sparse rows: {column: value} dicts of the nonzero entries
 
 
-def _matmul(A, B, m, k, n):
-    if m == 0 or n == 0:
-        return [[] for _ in range(m)]
-    if k == 0:
-        return [[0] * n for _ in range(m)]
-    amax = max((abs(x) for r in A for x in r), default=0)
-    bmax = max((abs(x) for r in B for x in r), default=0)
-    if amax * bmax * k < _INT64_SAFE:
-        C = np.array(A, dtype=np.int64) @ np.array(B, dtype=np.int64)
-        return C.tolist()
-    Bt = list(zip(*B))
-    return [[sum(x * y for x, y in zip(row, col)) for col in Bt] for row in A]
+def _sparse_rows(M):
+    c, e = M.cols, M.entries
+    rows = [{} for _ in range(M.rows)]
+    for k in compress(range(len(e)), e):
+        rows[k // c][k % c] = e[k]
+    return rows
+
+
+def _sparse_product(A_rows, B_rows):
+    """Sparse rows of A @ B from the sparse rows of A and B."""
+    out = []
+    for a in A_rows:
+        acc = {}
+        for k, x in a.items():
+            for j, y in B_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _axpy(r, q, s):
+    """r += q * s in place, for sparse rows and q != 0."""
+    for c, v in s.items():
+        w = r.get(c, 0) + q * v
+        if w:
+            r[c] = w
+        else:
+            del r[c]
 
 
 # ---------------------------------------------------------------------------
@@ -275,105 +289,88 @@ def _snf_python(rows, m, n):
     return A, U, V
 
 
-def _guarded_axpy_rows(A, U, q, t, lo):
-    qm = int(np.max(np.abs(q))) if q.size else 0
-    for M in (A, U):
-        rm = int(np.max(np.abs(M[t]))) if M[t].size else 0
-        cm = int(np.max(np.abs(M[lo:]))) if M[lo:].size else 0
-        if qm * rm + cm >= _INT64_SAFE:
-            raise _OverflowToExact
-    A[lo:] -= q[:, None] * A[t]
-    U[lo:] -= q[:, None] * U[t]
-
-
-def _guarded_axpy_cols(A, V, q, t, lo):
-    qm = int(np.max(np.abs(q))) if q.size else 0
-    for M in (A, V):
-        cm = int(np.max(np.abs(M[:, t]))) if M[:, t].size else 0
-        rm = int(np.max(np.abs(M[:, lo:]))) if M[:, lo:].size else 0
-        if qm * cm + rm >= _INT64_SAFE:
-            raise _OverflowToExact
-    A[:, lo:] -= A[:, [t]] * q[None, :]
-    V[:, lo:] -= V[:, [t]] * q[None, :]
-
-
-def _snf_numpy(rows, m, n):
-    A = np.array([list(r) for r in rows], dtype=np.int64).reshape(m, n)
-    U = np.eye(m, dtype=np.int64)
-    V = np.eye(n, dtype=np.int64)
-    for t in range(min(m, n)):
-        sub = A[t:, t:]
-        absa = np.abs(sub)
-        nz = absa != 0
-        if not nz.any():
-            break
-        absa = np.where(nz, absa, np.iinfo(np.int64).max)
-        flat = int(np.argmin(absa))
-        pi, pj = t + flat // (n - t), t + flat % (n - t)
-        if pi != t:
-            A[[t, pi]] = A[[pi, t]]
-            U[[t, pi]] = U[[pi, t]]
-        if pj != t:
-            A[:, [t, pj]] = A[:, [pj, t]]
-            V[:, [t, pj]] = V[:, [pj, t]]
-        while True:
-            col = A[t + 1:, t]
-            if col.any():
-                q = col // A[t, t]
-                _guarded_axpy_rows(A, U, q, t, t + 1)
-                col = A[t + 1:, t]
-                if col.any():
-                    i = t + 1 + int(np.argmax(col != 0))
-                    A[[t, i]] = A[[i, t]]
-                    U[[t, i]] = U[[i, t]]
-                    continue
-            row = A[t, t + 1:]
-            if row.any():
-                q = row // A[t, t]
-                _guarded_axpy_cols(A, V, q, t, t + 1)
-                row = A[t, t + 1:]
-                if row.any():
-                    j = t + 1 + int(np.argmax(row != 0))
-                    A[:, [t, j]] = A[:, [j, t]]
-                    V[:, [t, j]] = V[:, [j, t]]
-                    continue
-            if A[t + 1:, t].any():
-                continue
-            d = int(A[t, t])
-            rem = A[t + 1:, t + 1:] % d
-            if rem.size and rem.any():
-                i = t + 1 + int(np.argmax(rem.any(axis=1)))
-                if int(np.max(np.abs(A[t]))) + int(np.max(np.abs(A[i]))) >= _INT64_SAFE:
-                    raise _OverflowToExact
-                A[t] += A[i]
-                U[t] += U[i]
-                continue
-            break
-        if A[t, t] < 0:
-            A[t] = -A[t]
-            U[t] = -U[t]
-    return A.tolist(), U.tolist(), V.tolist()
-
-
 def smith_normal_form(M: IntMatrix) -> SnfResult:
     """Diagonalize M by unimodular transforms: U @ M @ V = D.
 
     The diagonal of D is non-negative and each nonzero entry divides the
     next.  Pivoting is deterministic (smallest absolute value, row-major).
+    This is the reference the transform-free `_snf_diagonal` is tested
+    against.
     """
     m, n = M.rows, M.cols
-    rows = M.to_rows()
-    try:
-        if max((abs(x) for x in M.entries), default=0) >= _INT64_SAFE:
-            raise _OverflowToExact
-        D, U, V = _snf_numpy(rows, m, n)
-    except _OverflowToExact:
-        D, U, V = _snf_python(rows, m, n)
+    D, U, V = _snf_python(M.to_rows(), m, n)
     return SnfResult(
         U=IntMatrix.from_rows(U, m),
         D=IntMatrix.from_rows(D, n),
         V=IntMatrix.from_rows(V, n),
     )
+
+
+def _pivot_sparse(rows):
+    """(row, column) of an entry of least absolute value; the first unit."""
+    best = at = None
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            a = v if v > 0 else -v
+            if best is None or a < best:
+                best, at = a, (i, j)
+                if a == 1:
+                    return at
+    return at
+
+
+def _divisibility_chain(diag):
+    """Invariant factors of a diagonal matrix: pairs become (gcd, lcm)."""
+    ones = diag.count(1)
+    d = [x for x in diag if x != 1]
+    for i in range(len(d)):
+        for k in range(i + 1, len(d)):
+            g = gcd(d[i], d[k])
+            d[i], d[k] = g, d[i] // g * d[k]
+    return (1,) * ones + tuple(d)
+
+
+def _snf_diagonal(M: IntMatrix) -> tuple:
+    """Nonzero Smith diagonal d_1 | d_2 | ... | d_r of M, where r = rank M.
+
+    Elimination on sparse rows in exact integers, without transforms.  Row
+    operations touch only the rows with a nonzero in the pivot column.  Once
+    that column is clear, column operations change the pivot row alone, so
+    the row is reduced mod the pivot and Euclid goes on with the least
+    remainder.  The diagonal this leaves is put into divisibility order.
+    """
+    rows = [r for r in _sparse_rows(M) if r]
+    diag = []
+    while rows:
+        i, j = _pivot_sparse(rows)
+        prow = rows[i]
+        rows[i] = rows[-1]
+        rows.pop()
+        while True:
+            p = prow[j]
+            hits = [r for r in rows if j in r]
+            for r in hits:
+                v = r[j]
+                while v:
+                    q = v // p
+                    if q:
+                        _axpy(r, -q, prow)
+                        v = r.get(j)
+                    if v:  # a remainder below |p| becomes the pivot
+                        old, prow, p = prow, r.copy(), v
+                        r.clear()
+                        r.update(old)
+                        v = r[j]
+            if not all(hits):
+                rows = [r for r in rows if r]
+            rem = {c: v % p for c, v in prow.items() if c != j and v % p}
+            if not rem:
+                diag.append(abs(p))
+                break
+            least = min(rem, key=lambda c: abs(rem[c]))
+            rem[j] = p
+            prow, j = rem, least
+    return _divisibility_chain(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -384,69 +381,30 @@ def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbGroup:
     """Z^generators modulo the row span of `relations`, in normal form."""
     if relations.cols != generators:
         raise ValueError("relation matrix must have one column per generator")
-    snf = smith_normal_form(relations)
-    diag = snf.D.diagonal()
-    nonzero = [d for d in diag if d != 0]
+    diag = _snf_diagonal(relations)
     return FgAbGroup(
-        free_rank=generators - len(nonzero),
-        invariant_factors=tuple(d for d in nonzero if d > 1),
+        free_rank=generators - len(diag),
+        invariant_factors=tuple(d for d in diag if d > 1),
     )
-
-
-def _kernel_basis(M: IntMatrix):
-    """Columns forming a basis of the integer kernel lattice of M (saturated)."""
-    snf = smith_normal_form(M)
-    r = snf.rank()
-    V = snf.V.to_rows()
-    return [[V[i][j] for j in range(r, M.cols)] for i in range(M.cols)]
-
-
-def _solve_in_lattice(K_rows, B_rows, n, k, b_cols):
-    """Solve K @ X = B exactly over Z; raise ValueError if no solution."""
-    snf = smith_normal_form(IntMatrix.from_rows(K_rows, k))
-    diag = snf.D.diagonal()
-    r = sum(1 for d in diag if d)
-    U = snf.U.to_rows()
-    Y = _matmul(U, B_rows, n, n, b_cols)
-    X0 = [[0] * b_cols for _ in range(k)]
-    for i in range(n):
-        for j in range(b_cols):
-            y = Y[i][j]
-            if i < r:
-                if y % diag[i]:
-                    raise ValueError("no integral solution")
-                if i < k:
-                    X0[i][j] = y // diag[i]
-            elif y:
-                raise ValueError("no integral solution")
-    return _matmul(snf.V.to_rows(), X0, k, k, b_cols)
 
 
 def complex_cohomology(C: CochainComplex, q: int) -> FgAbGroup:
     """ker(d_q) / im(d_{q-1}) as a group in normal form.
 
-    The boundary off either end of the complex is the zero map.
+    Because ker d_q is saturated in Z^{n_q}, this is
+    Z^{n_q - rk d_q - rk d_{q-1}} + tors(coker d_{q-1}), read off the Smith
+    diagonals of the two maps.  The boundary off either end of the complex
+    is the zero map.
     """
     if not 0 <= q < len(C.dims):
         raise ValueError(f"degree {q} outside complex of length {len(C.dims)}")
     C.validate_composition()
-    dim_q = C.dims[q]
-    if dim_q == 0:
-        return FgAbGroup.trivial()
-    if q < len(C.boundaries):
-        K = _kernel_basis(C.boundaries[q])
-    else:
-        K = IntMatrix.identity(dim_q).to_rows()
-    k = len(K[0])
-    if k == 0:
-        return FgAbGroup.trivial()
-    if q == 0:
-        rels = IntMatrix.zero(0, k)
-    else:
-        B = C.boundaries[q - 1]
-        X = _solve_in_lattice(K, B.to_rows(), dim_q, k, B.cols)
-        rels = IntMatrix.from_rows(list(zip(*X)), k) if k else IntMatrix.zero(0, 0)
-    return group_from_presentation(rels, k)
+    rank_out = len(_snf_diagonal(C.boundaries[q])) if q < len(C.boundaries) else 0
+    diag_in = _snf_diagonal(C.boundaries[q - 1]) if q > 0 else ()
+    return FgAbGroup(
+        free_rank=C.dims[q] - rank_out - len(diag_in),
+        invariant_factors=tuple(d for d in diag_in if d > 1),
+    )
 
 
 def integer_determinant(M: IntMatrix):

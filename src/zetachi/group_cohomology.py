@@ -161,10 +161,10 @@ def trivial_action(G: FiniteGroup, rank=1):
     return GModuleAction(rank, tuple(_identity_rows(rank) for _ in range(G.order)))
 
 
-def _tuple_index(G, tup):
+def _tuple_index(n, tup):
     i = 0
     for g in tup:
-        i = i * G.order + g
+        i = i * n + g
     return i
 
 
@@ -197,17 +197,18 @@ def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
         raise ValueError("p_max must be >= 1")
     _check_budget(G, A, p_max + 1, budget)
     n, r = G.order, A.rank
+    table = G.table
+    inverse = [G.inv(g) for g in range(n)]
     boundaries = []
     for p in range(p_max):
         rows_dim = n ** (p + 1) * r
         cols_dim = n ** p * r
         D = [[0] * cols_dim for _ in range(rows_dim)]
         for H in itertools.product(range(n), repeat=p + 1):
-            row_base = _tuple_index(G, H) * r
+            row_base = _tuple_index(n, H) * r
             h1 = H[0]
-            h1inv = G.inv(h1)
-            shifted = tuple(G.mul(h1inv, h) for h in H[1:])
-            col_base = _tuple_index(G, shifted) * r
+            by_h1inv = table[inverse[h1]]  # left multiplication by h1^-1
+            col_base = _tuple_index(n, [by_h1inv[h] for h in H[1:]]) * r
             act = A.matrix(h1)
             for a in range(r):
                 for b in range(r):
@@ -215,7 +216,7 @@ def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
                         D[row_base + a][col_base + b] += act[a][b]
             for i in range(1, p + 2):
                 dropped = H[:i - 1] + H[i:]
-                col_base = _tuple_index(G, dropped) * r
+                col_base = _tuple_index(n, dropped) * r
                 sign = -1 if i % 2 else 1
                 for a in range(r):
                     D[row_base + a][col_base + a] += sign
@@ -232,26 +233,27 @@ def build_inhomogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
         raise ValueError("p_max must be >= 1")
     _check_budget(G, A, p_max + 1, budget)
     n, r = G.order, A.rank
+    table = G.table
     boundaries = []
     for p in range(p_max):
         rows_dim = n ** (p + 1) * r
         cols_dim = n ** p * r
         D = [[0] * cols_dim for _ in range(rows_dim)]
         for H in itertools.product(range(n), repeat=p + 1):
-            row_base = _tuple_index(G, H) * r
+            row_base = _tuple_index(n, H) * r
             act = A.matrix(H[0])
-            col_base = _tuple_index(G, H[1:]) * r
+            col_base = _tuple_index(n, H[1:]) * r
             for a in range(r):
                 for b in range(r):
                     if act[a][b]:
                         D[row_base + a][col_base + b] += act[a][b]
             for i in range(1, p + 1):
-                merged = H[:i - 1] + (G.mul(H[i - 1], H[i]),) + H[i + 1:]
-                col_base = _tuple_index(G, merged) * r
+                merged = H[:i - 1] + (table[H[i - 1]][H[i]],) + H[i + 1:]
+                col_base = _tuple_index(n, merged) * r
                 sign = -1 if i % 2 else 1
                 for a in range(r):
                     D[row_base + a][col_base + a] += sign
-            col_base = _tuple_index(G, H[:p]) * r
+            col_base = _tuple_index(n, H[:p]) * r
             sign = -1 if (p + 1) % 2 else 1
             for a in range(r):
                 D[row_base + a][col_base + a] += sign

@@ -1,4 +1,5 @@
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from zetachi.abelian import (
     group_from_presentation,
     complex_cohomology,
     integer_determinant,
+    _snf_diagonal,
 )
 from zetachi.group_cohomology import cyclic_group, trivial_action, \
     build_homogeneous_complex
@@ -78,6 +80,51 @@ def test_snf_random_properties(M):
     snf_invariants(M)
 
 
+@given(small_matrix)
+@settings(max_examples=150, deadline=None)
+def test_presentation_matches_reference_snf(M):
+    nonzero = [d for d in smith_normal_form(M).D.diagonal() if d]
+    expect = FgAbGroup(M.cols - len(nonzero), tuple(d for d in nonzero if d > 1))
+    assert group_from_presentation(M, M.cols) == expect
+
+
+def gcd_of_minors(M, k):
+    rows = M.to_rows()
+    g = 0
+    for I in combinations(range(M.rows), k):
+        for J in combinations(range(M.cols), k):
+            minor = IntMatrix.from_rows([[rows[i][j] for j in J] for i in I], k)
+            g = gcd(g, integer_determinant(minor))
+    return g
+
+
+@given(small_matrix)
+@settings(max_examples=150, deadline=None)
+def test_invariant_factors_are_determinantal_divisors(M):
+    # d_1 * ... * d_k is the gcd of the k x k minors, and 0 beyond the rank
+    diag = _snf_diagonal(M)
+    for k in range(1, min(M.rows, M.cols) + 1):
+        expect = prod(diag[:k]) if k <= len(diag) else 0
+        assert gcd_of_minors(M, k) == expect
+
+
+def test_diagonal_normalised_to_divisibility_chain():
+    diag = lambda a, b: IntMatrix.from_rows([[a, 0], [0, b]])
+    assert _snf_diagonal(diag(4, 6)) == (2, 12)
+    assert _snf_diagonal(diag(2, 3)) == (1, 6)
+    assert group_from_presentation(diag(4, 6), 2) == FgAbGroup(0, (2, 12))
+    assert group_from_presentation(diag(2, 3), 2) == FgAbGroup.cyclic(6)
+
+
+def test_presentation_exact_beyond_int64():
+    # [[1, 1], [1, 2]] @ diag(d1, d2) @ [[1, 1], [0, 1]], both unimodular
+    d1 = 3 * 2**63
+    d2 = 5 * d1
+    M = IntMatrix.from_rows([[d1, d1 + d2], [d1, d1 + 2 * d2]])
+    assert group_from_presentation(M, 2) == FgAbGroup(0, (d1, d2))
+    assert smith_normal_form(M).D.diagonal() == [d1, d2]
+
+
 def test_presentation_free():
     assert group_from_presentation(IntMatrix.zero(0, 2), 2) == FgAbGroup.free(2)
 
@@ -120,6 +167,12 @@ def test_cohomology_mult_n_cokernel():
     assert complex_cohomology(C, 0) == FgAbGroup.trivial()
 
 
+def test_cohomology_exact_beyond_int64():
+    C = CochainComplex((1, 1), (IntMatrix.from_rows([[2**70]]),))
+    assert complex_cohomology(C, 1) == FgAbGroup.cyclic(2**70)
+    assert complex_cohomology(C, 0) == FgAbGroup.trivial()
+
+
 def test_cohomology_zero_map_kernel():
     C = CochainComplex((1, 1), (IntMatrix.from_rows([[0]]),))
     assert complex_cohomology(C, 0) == FgAbGroup.free(1)
@@ -139,6 +192,14 @@ def test_cohomology_rejects_bad_composition():
     )
     with pytest.raises(MalformedComplexError):
         complex_cohomology(C, 1)
+
+
+def test_cohomology_checks_every_composition():
+    # H^0 reads only d_0; the bad composition d_2 d_1 must still be caught
+    one, zero = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[0]])
+    C = CochainComplex((1, 1, 1, 1), (zero, one, one))
+    with pytest.raises(MalformedComplexError):
+        complex_cohomology(C, 0)
 
 
 def test_cohomology_unimodular_base_change_invariance(rng):
