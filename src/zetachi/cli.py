@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -160,6 +161,23 @@ def _print_profile(r, out):
     print(f"   note: {r.profile.metadata}", file=out)
 
 
+def _write_json(path, reports):
+    """Write the reports as a JSON array, one report per line.  The file is
+    written under a temporary name in the target's directory and moved into
+    place only when complete, so a failure leaves any earlier file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            f.write("[\n")
+            f.write(",\n".join(json.dumps(report_to_dict(r)) for r in reports))
+            f.write("\n]\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def run(config: RunConfig, out=None):
     """Verify every configured field.  Returns (exit_status, reports)."""
     out = out if out is not None else sys.stdout
@@ -179,8 +197,7 @@ def run(config: RunConfig, out=None):
         for r in reports:
             _print_profile(r, out)
     if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as f:
-            json.dump([report_to_dict(r) for r in reports], f, indent=2)
+        _write_json(config.json_path, reports)
     n_pass = sum(r.passed for r in reports)
     n_fail = len(reports) - n_pass
     max_err = max(abs(r.ratio - 1) for r in reports)
@@ -234,7 +251,6 @@ def main(argv=None):
         show_profile=args.show_profile,
     )
     try:
-        config.validate()
         status, _ = run(config)
     except ValueError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")

@@ -68,13 +68,16 @@ class GradedGroupComplex:
         return BasedRealComplex(dims, self.realified_maps)
 
 
+def _rank_from_singular_values(sv, tol):
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > tol * sv[0]))
+
+
 def _rank(T, tol):
     if T.size == 0:
         return 0
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return _rank_from_singular_values(np.linalg.svd(T, compute_uv=False), tol)
 
 
 def check_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL) -> bool:
@@ -107,7 +110,7 @@ def _image_basis(T, tol, rng=None):
     if T.size == 0:
         return np.zeros((T.shape[0], 0))
     U, sv, _ = np.linalg.svd(T, full_matrices=False)
-    r = _rank(T, tol)
+    r = _rank_from_singular_values(sv, tol)
     Q = U[:, :r]
     if rng is not None and r:
         while True:
@@ -128,17 +131,20 @@ def _det_two(d0, d1, T):
 
 def _det_three(d0, d1, d2, T0, T1):
     """Direct formula: wedge of the mapped basis of V_0 and lifts of the
-    basis of V_2, compared against the basis of V_1."""
+    basis of V_2, compared against the basis of V_1.  When T0 or T1 is an
+    isomorphism the wedge is its determinant or the inverse of it."""
     if d0 + d2 != d1:
         raise ExactnessError("middle dimension must split as r + s")
     if d1 == 0:
         return 1.0
+    if d2 == 0:
+        return float(np.linalg.det(T0))
+    if d0 == 0:
+        return 1.0 / float(np.linalg.det(T1))
     M = np.empty((d1, d1))
-    if d0:
-        M[:, :d0] = T0
-    if d2:
-        lifts, *_ = np.linalg.lstsq(T1, np.eye(d2), rcond=None)
-        M[:, d0:] = lifts
+    M[:, :d0] = T0
+    lifts, *_ = np.linalg.lstsq(T1, np.eye(d2), rcond=None)
+    M[:, d0:] = lifts
     return float(np.linalg.det(M))
 
 
@@ -159,7 +165,7 @@ def _det_inductive_step(dims, maps, tol, rng):
 
 def _det(dims, maps, tol, rng):
     k = len(dims)
-    if k <= 1:
+    if k <= 1 or not any(dims):
         return 1.0
     if k == 2:
         return _det_two(dims[0], dims[1], maps[0])
@@ -182,11 +188,13 @@ def determinant_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL,
 
 def torsion_alternating_product(groups) -> Fraction:
     """prod |torsion(A_i)| ^ (-1)^i as an exact rational."""
-    out = Fraction(1)
+    num = den = 1
     for i, g in enumerate(groups):
-        t = g.torsion_order
-        out = out * t if i % 2 == 0 else out / t
-    return out
+        if i % 2 == 0:
+            num *= g.torsion_order
+        else:
+            den *= g.torsion_order
+    return Fraction(num, den)
 
 
 def euler_characteristic(G: GradedGroupComplex, tol: float = DEFAULT_TOL) -> float:

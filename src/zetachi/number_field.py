@@ -10,7 +10,8 @@ L-function, so these invariants stay independent of the analytic oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt, prod
+from operator import mul
 from typing import Optional
 
 import mpmath
@@ -21,6 +22,7 @@ __all__ = [
     "QuadraticFieldInvariants",
     "KroneckerCharacter",
     "is_fundamental_discriminant",
+    "prime_discriminants",
     "fundamental_discriminants",
     "kronecker_symbol",
     "enumerate_reduced_forms",
@@ -67,21 +69,15 @@ class KroneckerCharacter:
 
     @classmethod
     def from_discriminant(cls, d):
-        """Tabulate (d / a) for 0 <= a < |d|.  The symbol is completely
-        multiplicative in a, so only primes need `kronecker_symbol`; a
-        composite a is chi(p) * chi(a / p) with p its smallest prime factor."""
-        if not is_fundamental_discriminant(d):
-            raise DiscriminantError(_fundamental_failure(d))
+        """Tabulate (d / a) for 0 <= a < |d| as the entrywise product of the
+        characters of the prime discriminants of d, each repeated out to
+        |d|.  Raises DiscriminantError unless d is fundamental."""
+        factors = prime_discriminants(d)
         q = abs(d)
-        spf = [0] * q
-        # descending, so the smallest factor is written last
-        for p in range(isqrt(q - 1), 1, -1):
-            spf[p * p::p] = [p] * len(range(p * p, q, p))
-        values = [0] * q
-        values[1] = 1
-        for a in range(2, q):
-            p = spf[a]
-            values[a] = values[p] * values[a // p] if p else kronecker_symbol(d, a)
+        values = None
+        for f in factors:
+            table = _prime_discriminant_table(f) * (q // abs(f))
+            values = table if values is None else list(map(mul, values, table))
         return cls(d, q, tuple(values))
 
     def __call__(self, a):
@@ -92,18 +88,64 @@ class KroneckerCharacter:
         return self.discriminant < 0
 
 
-def _squarefree(n):
-    n = abs(n)
-    if n == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1
-    return True
+# chi_e(a) for a mod 8 (a mod 4 for e = -4), for the even prime discriminants
+_EVEN_PRIME_DISCRIMINANT_TABLES = {
+    -4: (0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
+def _split_discriminant(d):
+    """The prime discriminants whose product is d, or None when d is not a
+    fundamental discriminant.  An integer d != 1 is fundamental exactly when
+    its odd part is squarefree and d divided by the product of the odd p* is
+    1, -4, 8 or -8."""
+    if not isinstance(d, int) or d in (0, 1) or d % 4 in (2, 3):
+        return None
+    rest = abs(d)
+    while rest % 2 == 0:
+        rest //= 2
+    factors = []
+    p = 3
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                return None
+            factors.append(p if p % 4 == 1 else -p)
+        p += 2
+    if rest > 1:
+        factors.append(rest if rest % 4 == 1 else -rest)
+    even = d // prod(factors)
+    if even == 1:
+        return factors
+    if even in _EVEN_PRIME_DISCRIMINANT_TABLES:
+        return [even] + factors
+    return None
+
+
+def prime_discriminants(d):
+    """Split a fundamental discriminant into prime discriminants: -4, 8 or
+    -8 when d is even, then p* = +-p = 1 mod 4 for each odd prime p | d
+    (Cohen, GTM 138, ch. 5).  Their product is d."""
+    factors = _split_discriminant(d)
+    if factors is None:
+        raise DiscriminantError(_fundamental_failure(d))
+    return factors
+
+
+def _prime_discriminant_table(f):
+    """chi_f(a) for 0 <= a < |f|.  For f = p*, chi_f(a) is the Legendre
+    symbol (a / p): 1 on the nonzero squares mod p, -1 off them."""
+    if f in _EVEN_PRIME_DISCRIMINANT_TABLES:
+        return _EVEN_PRIME_DISCRIMINANT_TABLES[f]
+    p = abs(f)
+    table = [-1] * p
+    table[0] = 0
+    for x in range(1, (p + 1) // 2):
+        table[x * x % p] = 1
+    return table
 
 
 def _fundamental_failure(d):
@@ -122,14 +164,7 @@ def _fundamental_failure(d):
 
 
 def is_fundamental_discriminant(d) -> bool:
-    if not isinstance(d, int) or d in (0, 1):
-        return False
-    if d % 4 == 1:
-        return _squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _squarefree(m)
-    return False
+    return _split_discriminant(d) is not None
 
 
 def fundamental_discriminants(bound):

@@ -27,12 +27,7 @@ from typing import Optional
 
 import mpmath
 
-from .number_field import (
-    RATIONAL_FIELD,
-    DiscriminantError,
-    KroneckerCharacter,
-    is_fundamental_discriminant,
-)
+from .number_field import RATIONAL_FIELD, KroneckerCharacter
 
 __all__ = [
     "ZetaStarValue",
@@ -105,8 +100,7 @@ def L_at_zero(chi: KroneckerCharacter) -> Fraction:
     """L(0, chi) for an odd character, as an exact rational first moment."""
     if not chi.is_odd:
         raise ParityError("L(0, chi) by finite sum needs an odd character")
-    q = chi.modulus
-    return Fraction(-sum(chi(a) * a for a in range(1, q)), q)
+    return Fraction(-sum(a * v for a, v in enumerate(chi.values)), chi.modulus)
 
 
 def L_prime_at_zero(chi: KroneckerCharacter) -> float:
@@ -122,12 +116,11 @@ def L_prime_at_zero(chi: KroneckerCharacter) -> float:
 
 
 def zeta_star_at_zero(d) -> ZetaStarValue:
-    """Leading coefficient of the field zeta function at s = 0."""
+    """Leading coefficient of the field zeta function at s = 0.  Raises
+    DiscriminantError unless d is RATIONAL_FIELD or fundamental."""
     if d == RATIONAL_FIELD:
         return ZetaStarValue(order=0, leading=float(ZETA_AT_ZERO),
                              exact=ZETA_AT_ZERO)
-    if not is_fundamental_discriminant(d):
-        raise DiscriminantError(f"{d!r} is not a fundamental discriminant")
     chi = KroneckerCharacter.from_discriminant(d)
     if d < 0:
         exact = ZETA_AT_ZERO * L_at_zero(chi)

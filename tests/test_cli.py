@@ -1,8 +1,10 @@
 import io
 import json
+import os
 
 import pytest
 
+from zetachi import cli
 from zetachi.cli import (
     RunConfig,
     USAGE_ERROR,
@@ -95,6 +97,36 @@ def test_json_round_trip(tmp_path):
         assert rebuilt.ratio == original.ratio
         assert rebuilt.profile == original.profile
         assert report_to_dict(rebuilt) == obj
+
+
+def test_json_one_report_per_line(tmp_path):
+    path = tmp_path / "reports.json"
+    _, reports = run(RunConfig(targets=[RATIONAL_FIELD, -23, 5, 12],
+                               json_path=str(path), table=False), io.StringIO())
+    lines = path.read_text().splitlines()
+    assert lines[0] == "[" and lines[-1] == "]"
+    body = lines[1:-1]
+    assert len(body) == len(reports)
+    for i, (line, r) in enumerate(zip(body, reports)):
+        assert line.endswith(",") == (i < len(body) - 1)
+        assert json.loads(line.rstrip(",")) == report_to_dict(r)
+    assert json.loads(path.read_text()) == [report_to_dict(r) for r in reports]
+
+
+def test_json_write_failure_keeps_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "reports.json"
+    run(RunConfig(targets=[5], json_path=str(path), table=False), io.StringIO())
+    before = path.read_bytes()
+
+    def broken(r):
+        raise RuntimeError("report could not be encoded")
+
+    monkeypatch.setattr(cli, "report_to_dict", broken)
+    with pytest.raises(RuntimeError, match="could not be encoded"):
+        run(RunConfig(targets=[-23, 5], json_path=str(path), table=False),
+            io.StringIO())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["reports.json"]
 
 
 def test_parser_accepts_q_and_integers():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,34 @@ def test_euler_characteristic_pure_torsion():
               FgAbGroup.trivial(), FgAbGroup.cyclic(2))
     G = GradedGroupComplex(groups, (np.zeros((0, 0)),) * 3)
     assert euler_characteristic(G) == pytest.approx(0.5)
+
+
+def test_euler_characteristic_zero_complex_skips_linear_algebra(monkeypatch):
+    # the imaginary-field shape (0, 0, Z/6, Z/4): every realified space is zero
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear algebra on an all-zero complex")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    groups = (FgAbGroup.trivial(), FgAbGroup.trivial(),
+              FgAbGroup.cyclic(6), FgAbGroup.cyclic(4))
+    G = GradedGroupComplex(groups, (np.zeros((0, 0)),) * 3)
+    assert euler_characteristic(G) == 1.5
+
+
+def test_euler_characteristic_real_field_shape_call_counts(monkeypatch):
+    # (0, Z, Z + Z/3, Z/2) with the regulator as the middle map: one SVD for
+    # the exactness check, one for the image basis, one least-squares core
+    svd = mock.Mock(wraps=np.linalg.svd)
+    lstsq = mock.Mock(wraps=np.linalg.lstsq)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    groups = (FgAbGroup.trivial(), FgAbGroup.free(1),
+              FgAbGroup(1, (3,)), FgAbGroup.cyclic(2))
+    maps = (np.zeros((1, 0)), np.array([[0.75]]), np.zeros((0, 1)))
+    chi = euler_characteristic(GradedGroupComplex(groups, maps))
+    assert abs(chi) == pytest.approx(3 * 0.75 / 2, rel=1e-15)
+    assert (svd.call_count, lstsq.call_count) == (2, 1)
 
 
 def test_euler_characteristic_times_three():

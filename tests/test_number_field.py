@@ -10,6 +10,7 @@ from zetachi.number_field import (
     is_fundamental_discriminant,
     fundamental_discriminants,
     kronecker_symbol,
+    prime_discriminants,
     enumerate_reduced_forms,
     enumerate_reduced_forms_recount,
     continued_fraction_unit,
@@ -45,8 +46,11 @@ def test_kronecker_matches_euler_criterion():
 
 
 # the corpus plus fundamental discriminants near 10^4 of each sign and
-# residue class: 9973 and 8012 = 4 * 2003, -9995 = -5 * 1999, -9988 = -4 * 2497
-@pytest.mark.parametrize("d", CORPUS + [9973, 8012, -9995, -9988])
+# residue class: 9973 and 8012 = 4 * 2003, -9995 = -5 * 1999, -9988 = -4 * 2497;
+# near 3 * 10^4: 29989 (prime) and -29995 = -5 * 7 * 857; and
+# -10920 = -8 * 3 * 5 * 7 * 13, five prime discriminants with -8 among them
+@pytest.mark.parametrize("d", CORPUS + [9973, 8012, -9995, -9988,
+                                        29989, -29995, -10920])
 def test_character_table_matches_kronecker_symbol(d):
     chi = KroneckerCharacter.from_discriminant(d)
     assert chi.modulus == abs(d)
@@ -75,6 +79,49 @@ def test_fundamental_discriminant_predicate():
     assert is_fundamental_discriminant(-8)
     for bad in (0, 1, 2, 3, 4, 6, -1, -2, -5, -9, 25, 45, "Q"):
         assert not is_fundamental_discriminant(bad)
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, isqrt(n) + 1))
+
+
+def test_fundamental_predicate_matches_definition():
+    # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree
+    for d in range(-2000, 2001):
+        if d in (0, 1):
+            expected = False
+        elif d % 4 == 1:
+            expected = _squarefree(abs(d))
+        elif d % 4 == 0:
+            expected = (d // 4) % 4 in (2, 3) and _squarefree(abs(d) // 4)
+        else:
+            expected = False
+        assert is_fundamental_discriminant(d) == expected, d
+
+
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
+
+
+def test_prime_discriminants_multiply_to_d():
+    for d in CORPUS:
+        factors = prime_discriminants(d)
+        product = 1
+        for f in factors:
+            assert f in (-4, 8, -8) or (f % 4 == 1 and _is_prime(abs(f))), (d, f)
+            product *= f
+        assert product == d
+        assert sum(f % 2 == 0 for f in factors) <= 1, d
+        assert len(set(map(abs, factors))) == len(factors), d
+
+
+@pytest.mark.parametrize("d, criterion", [
+    (6, "mod 4"), (45, "squarefree"), (48, "= 0 mod 4"), (-36, "squarefree"),
+    (1, "not the discriminant"), ("Q", "not an integer"),
+])
+def test_character_rejects_non_fundamental(d, criterion):
+    with pytest.raises(DiscriminantError, match=criterion):
+        KroneckerCharacter.from_discriminant(d)
 
 
 def test_reduced_form_counts():
