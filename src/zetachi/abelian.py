@@ -2,18 +2,18 @@
 
 Finitely generated abelian groups in invariant-factor normal form, and
 cohomology of integer cochain complexes by the rank formula
-H^q = Z^{n_q - rk d_q - rk d_{q-1}} + tors(coker d_{q-1}).  One engine,
-sparse elimination on {column: value} rows without transforms, gives the
-Smith diagonal that both presentations and cohomology read.  The Smith
-normal form with its unimodular transforms is kept as the reference that
-the tests compare the engine against.  Everything is exact Python-integer
-arithmetic.
+H^q = Z^{n_q - rk d_q - rk d_{q-1}} + tors(coker d_{q-1}).  Matrices are
+stored sparse, one {column: value} dict of nonzeros per row; the composition
+check and the one elimination engine, which gives the Smith diagonal
+without transforms for both presentations and cohomology, read those rows
+as stored.  The Smith normal form with its unimodular transforms is kept as
+the reference that the tests compare the engine against.  Everything is
+exact Python-integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
 from math import gcd, prod
 
 __all__ = [
@@ -33,67 +33,72 @@ class MalformedComplexError(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, row-major flat storage, arbitrary precision."""
+    """Sparse integer matrix, arbitrary precision.
+
+    `nonzeros[i]` is the {column: value} dict of row i's nonzero entries,
+    keys in ascending column order.  Readers take the rows as stored; the
+    elimination engine copies a row before it changes it.
+    """
 
     rows: int
     cols: int
-    entries: tuple
+    nonzeros: tuple
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.nonzeros) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.nonzeros)}")
+        for r in self.nonzeros:
+            if r and (min(r) < 0 or max(r) >= self.cols or not all(r.values())):
+                raise ValueError("stored entries must be nonzero and inside the columns")
 
     @classmethod
     def from_rows(cls, rows, cols=None):
         rows = [list(r) for r in rows]
-        m = len(rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls(m, cols, tuple(chain.from_iterable(rows)))
+        return cls(len(rows), cols,
+                   tuple({j: v for j, v in enumerate(r) if v} for r in rows))
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, tuple({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, n):
-        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls(n, n, tuple({i: 1} for i in range(n)))
 
     def to_rows(self):
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        return [[r.get(j, 0) for j in range(self.cols)] for r in self.nonzeros]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self.nonzeros[i].get(j, 0)
 
     def transpose(self):
-        return IntMatrix.from_rows(
-            [[self[i, j] for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzeros):
+            for j, v in r.items():
+                cols[j][i] = v
+        return IntMatrix(self.cols, self.rows, tuple(cols))
 
     def diagonal(self):
-        return [self[i, i] for i in range(min(self.rows, self.cols))]
+        return [self.nonzeros[i].get(i, 0) for i in range(min(self.rows, self.cols))]
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        n = other.cols
-        return IntMatrix.from_rows(
-            [[r.get(j, 0) for j in range(n)]
-             for r in _sparse_product(_sparse_rows(self), _sparse_rows(other))],
-            n,
-        )
+        return IntMatrix(self.rows, other.cols, tuple(
+            {j: r[j] for j in sorted(r)}
+            for r in _sparse_product(self.nonzeros, other.nonzeros)))
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self.nonzeros)
 
 
 @dataclass(frozen=True)
@@ -169,9 +174,9 @@ class CochainComplex:
                                  f"expected {(self.dims[p + 1], self.dims[p])}")
 
     def validate_composition(self):
-        rows = [_sparse_rows(b) for b in self.boundaries]
-        for p in range(len(rows) - 1):
-            if any(_sparse_product(rows[p + 1], rows[p])):
+        b = self.boundaries
+        for p in range(len(b) - 1):
+            if any(_sparse_product(b[p + 1].nonzeros, b[p].nonzeros)):
                 raise MalformedComplexError(
                     f"boundary composition at degree {p} is not zero"
                 )
@@ -179,14 +184,6 @@ class CochainComplex:
 
 # ---------------------------------------------------------------------------
 # sparse rows: {column: value} dicts of the nonzero entries
-
-
-def _sparse_rows(M):
-    c, e = M.cols, M.entries
-    rows = [{} for _ in range(M.rows)]
-    for k in compress(range(len(e)), e):
-        rows[k // c][k % c] = e[k]
-    return rows
 
 
 def _sparse_product(A_rows, B_rows):
@@ -339,7 +336,7 @@ def _snf_diagonal(M: IntMatrix) -> tuple:
     the row is reduced mod the pivot and Euclid goes on with the least
     remainder.  The diagonal this leaves is put into divisibility order.
     """
-    rows = [r for r in _sparse_rows(M) if r]
+    rows = [r.copy() for r in M.nonzeros if r]
     diag = []
     while rows:
         i, j = _pivot_sparse(rows)

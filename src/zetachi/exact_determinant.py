@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -63,9 +64,14 @@ class GradedGroupComplex:
     groups: tuple
     realified_maps: tuple
 
-    def realified(self) -> BasedRealComplex:
+    @cached_property
+    def _realified(self):
         dims = tuple(g.free_rank for g in self.groups)
         return BasedRealComplex(dims, self.realified_maps)
+
+    def realified(self) -> BasedRealComplex:
+        """The based real complex, built on the first call and then reused."""
+        return self._realified
 
 
 def _rank_from_singular_values(sv, tol):

@@ -182,6 +182,69 @@ def _validate_inputs(G, A):
     A.validate(G)
 
 
+def _build_complex(G, A, p_max, budget, blocks):
+    """Coboundaries in degrees 0..p_max written straight as sparse rows.
+
+    `blocks(G, A, p)`, called once the inputs are valid, returns `block`;
+    for a (p+1)-tuple H at index k of the basis, `block(H, k)` gives the
+    action matrix, the column base it acts at, and (column base, sign) for
+    each face that maps a module coordinate to itself.  Row a of H's block
+    sums these, zeros dropped, keys in ascending column order (the engine's
+    pivot order follows it).
+    """
+    _validate_inputs(G, A)
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+    _check_budget(G, A, p_max + 1, budget)
+    n, r = G.order, A.rank
+    dims = tuple(n ** p * r for p in range(p_max + 1))
+    boundaries = []
+    for p in range(p_max):
+        block = blocks(G, A, p)
+        D = []
+        for k, H in enumerate(itertools.product(range(n), repeat=p + 1)):
+            act, base, faces = block(H, k)
+            for a in range(r):
+                acc = {base + b: v for b, v in enumerate(act[a]) if v}
+                for col, sign in faces:
+                    acc[col + a] = acc.get(col + a, 0) + sign
+                D.append({c: acc[c] for c in sorted(acc) if acc[c]})
+        boundaries.append(IntMatrix(dims[p + 1], dims[p], tuple(D)))
+    return CochainComplex(dims, tuple(boundaries))
+
+
+def _homogeneous_blocks(G, A, p):
+    n, r, table = G.order, A.rank, G.table
+    inverse = [G.inv(g) for g in range(n)]
+    # omitting entry i of the tuple with index k keeps the digits after it
+    # (k % w) and moves those before it (k // above) down one place
+    omit = [(n ** (p - i), n ** (p - i + 1), 1 if i % 2 else -1)
+            for i in range(p + 1)]
+
+    def block(H, k):
+        by_h1inv = table[inverse[H[0]]]  # left multiplication by h1^-1
+        return (A.matrix(H[0]),
+                _tuple_index(n, [by_h1inv[h] for h in H[1:]]) * r,
+                [((k // above * w + k % w) * r, sign) for w, above, sign in omit])
+    return block
+
+
+def _inhomogeneous_blocks(G, A, p):
+    n, r, table = G.order, A.rank, G.table
+    # merging entries i-1 and i into their product keeps the digits after
+    # them (k % w) and moves those before them (k // above) down one place
+    merge = [(i, n ** (p - i), n ** (p - i + 2), -1 if i % 2 else 1)
+             for i in range(1, p + 1)]
+    last, tail = -1 if (p + 1) % 2 else 1, n ** p
+
+    def block(H, k):
+        faces = [(((k // above * n + table[H[i - 1]][H[i]]) * w + k % w) * r, sign)
+                 for i, w, above, sign in merge]
+        faces.append((k // n * r, last))
+        return A.matrix(H[0]), k % tail * r, faces
+    return block
+
+
 def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
                               budget=DEFAULT_TERM_BUDGET) -> CochainComplex:
     """Homogeneous cochain complex in degrees 0..p_max.
@@ -192,74 +255,13 @@ def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
     the module.  The coboundary alternately omits each tuple entry, with the
     omitted-first term pulled back to a normalized tuple through the action.
     """
-    _validate_inputs(G, A)
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    _check_budget(G, A, p_max + 1, budget)
-    n, r = G.order, A.rank
-    table = G.table
-    inverse = [G.inv(g) for g in range(n)]
-    boundaries = []
-    for p in range(p_max):
-        rows_dim = n ** (p + 1) * r
-        cols_dim = n ** p * r
-        D = [[0] * cols_dim for _ in range(rows_dim)]
-        for H in itertools.product(range(n), repeat=p + 1):
-            row_base = _tuple_index(n, H) * r
-            h1 = H[0]
-            by_h1inv = table[inverse[h1]]  # left multiplication by h1^-1
-            col_base = _tuple_index(n, [by_h1inv[h] for h in H[1:]]) * r
-            act = A.matrix(h1)
-            for a in range(r):
-                for b in range(r):
-                    if act[a][b]:
-                        D[row_base + a][col_base + b] += act[a][b]
-            for i in range(1, p + 2):
-                dropped = H[:i - 1] + H[i:]
-                col_base = _tuple_index(n, dropped) * r
-                sign = -1 if i % 2 else 1
-                for a in range(r):
-                    D[row_base + a][col_base + a] += sign
-        boundaries.append(IntMatrix.from_rows(D, cols_dim))
-    dims = tuple(n ** p * r for p in range(p_max + 1))
-    return CochainComplex(dims, tuple(boundaries))
+    return _build_complex(G, A, p_max, budget, _homogeneous_blocks)
 
 
 def build_inhomogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
                                 budget=DEFAULT_TERM_BUDGET) -> CochainComplex:
     """Inhomogeneous cochain complex in degrees 0..p_max (cross-check route)."""
-    _validate_inputs(G, A)
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    _check_budget(G, A, p_max + 1, budget)
-    n, r = G.order, A.rank
-    table = G.table
-    boundaries = []
-    for p in range(p_max):
-        rows_dim = n ** (p + 1) * r
-        cols_dim = n ** p * r
-        D = [[0] * cols_dim for _ in range(rows_dim)]
-        for H in itertools.product(range(n), repeat=p + 1):
-            row_base = _tuple_index(n, H) * r
-            act = A.matrix(H[0])
-            col_base = _tuple_index(n, H[1:]) * r
-            for a in range(r):
-                for b in range(r):
-                    if act[a][b]:
-                        D[row_base + a][col_base + b] += act[a][b]
-            for i in range(1, p + 1):
-                merged = H[:i - 1] + (table[H[i - 1]][H[i]],) + H[i + 1:]
-                col_base = _tuple_index(n, merged) * r
-                sign = -1 if i % 2 else 1
-                for a in range(r):
-                    D[row_base + a][col_base + a] += sign
-            col_base = _tuple_index(n, H[:p]) * r
-            sign = -1 if (p + 1) % 2 else 1
-            for a in range(r):
-                D[row_base + a][col_base + a] += sign
-        boundaries.append(IntMatrix.from_rows(D, cols_dim))
-    dims = tuple(n ** p * r for p in range(p_max + 1))
-    return CochainComplex(dims, tuple(boundaries))
+    return _build_complex(G, A, p_max, budget, _inhomogeneous_blocks)
 
 
 def group_cohomology_q(G: FiniteGroup, A: GModuleAction, q: int,

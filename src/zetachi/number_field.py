@@ -334,6 +334,11 @@ def enumerate_reduced_forms(d) -> int:
     forms for d < 0, number of cycles of reduced indefinite forms (the
     narrow class number) for d > 0."""
     _require_fundamental(d)
+    return _class_count(d)
+
+
+def _class_count(d):
+    """`enumerate_reduced_forms` for a d already known to be fundamental."""
     if d < 0:
         return len(_reduced_forms_imaginary(d))
     return _count_cycles(_reduced_forms_real(d), d)
@@ -362,6 +367,11 @@ def continued_fraction_unit(d):
     _require_fundamental(d)
     if d < 0:
         raise DiscriminantError("fundamental unit requires a real field (d > 0)")
+    return _fundamental_unit(d)
+
+
+def _fundamental_unit(d):
+    """`continued_fraction_unit` for a d > 0 already known to be fundamental."""
     s = isqrt(d)
     b0 = d % 2
     P, Q = b0, 2
@@ -390,7 +400,8 @@ def continued_fraction_unit(d):
 
 
 def field_invariants(d) -> QuadraticFieldInvariants:
-    """h, R, w and the signature, from the oracles above."""
+    """h, R, w and the signature, from the oracles above.  The discriminant
+    is checked once here; the class count and unit skip their own check."""
     if d == RATIONAL_FIELD:
         return QuadraticFieldInvariants(
             d=RATIONAL_FIELD, r1=1, r2=0, w=2, h=1,
@@ -400,11 +411,11 @@ def field_invariants(d) -> QuadraticFieldInvariants:
     if d < 0:
         w = 6 if d == -3 else 4 if d == -4 else 2
         return QuadraticFieldInvariants(
-            d=d, r1=0, r2=1, w=w, h=enumerate_reduced_forms(d),
+            d=d, r1=0, r2=1, w=w, h=_class_count(d),
             fundamental_unit=None, unit_norm=None, regulator=1.0,
         )
-    unit, regulator, norm = continued_fraction_unit(d)
-    h_plus = enumerate_reduced_forms(d)
+    unit, regulator, norm = _fundamental_unit(d)
+    h_plus = _class_count(d)
     if norm == 1:
         if h_plus % 2:
             raise AssertionError("narrow class number must be even when N(e) = +1")

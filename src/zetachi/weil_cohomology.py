@@ -20,7 +20,6 @@ import numpy as np
 
 from .abelian import FgAbGroup
 from .exact_determinant import (
-    BasedRealComplex,
     ExactnessError,
     GradedGroupComplex,
     euler_characteristic,
@@ -155,10 +154,10 @@ def psi_complex(inv: QuadraticFieldInvariants,
         # Quadratic real case: one fundamental unit, first real place kept.
         # The unit exceeds 1 in that embedding, so the entry is the regulator.
         middle = np.array([[inv.regulator]])
-    maps = (np.zeros((r, 0)), middle, np.zeros((0, r)))
-    dims = tuple(g.free_rank for g in groups)
-    based = BasedRealComplex(dims, maps)
-    return based, GradedGroupComplex(tuple(groups), maps)
+    graded = GradedGroupComplex(tuple(groups), (np.zeros((r, 0)), middle,
+                                                np.zeros((0, r))))
+    # built once: `euler_characteristic(graded)` reuses this realification
+    return graded.realified(), graded
 
 
 def verify_field(d, tol: float = 1e-9,

@@ -64,14 +64,56 @@ def test_snf_empty():
     assert r.D.rows == 0
 
 
-small_matrix = st.integers(0, 4).flatmap(
+def dense_rows(m, n):
+    return st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                    min_size=m, max_size=m)
+
+
+# (rows, n): an m x n matrix as lists, 0 <= m, n <= 4
+small_rows = st.integers(0, 4).flatmap(
     lambda m: st.integers(0, 4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-30, 30), min_size=n, max_size=n),
-            min_size=m, max_size=m,
-        ).map(lambda rows: IntMatrix.from_rows(rows, n))
+        lambda n: dense_rows(m, n).map(lambda rows: (rows, n))
     )
 )
+small_matrix = small_rows.map(lambda rn: IntMatrix.from_rows(*rn))
+
+
+@given(small_rows, st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_storage_matches_dense_reference(rn, data):
+    rows, n = rn
+    m = len(rows)
+    M = IntMatrix.from_rows(rows, n)
+    assert M.to_rows() == rows
+    assert IntMatrix.from_rows(M.to_rows(), n) == M
+    # one {column: value} dict per row: nonzeros only, ascending columns
+    assert [list(r.items()) for r in M.nonzeros] == \
+        [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    assert [[M[i, j] for j in range(n)] for i in range(m)] == rows
+    assert M.diagonal() == [rows[i][i] for i in range(min(m, n))]
+    assert M.is_zero() == (not any(map(any, rows)))
+    assert M.transpose().to_rows() == [[rows[i][j] for i in range(m)]
+                                       for j in range(n)]
+    k = data.draw(st.integers(0, 4))
+    B = data.draw(dense_rows(n, k))
+    product = M @ IntMatrix.from_rows(B, k)
+    assert product.to_rows() == [
+        [sum(rows[i][t] * B[t][j] for t in range(n)) for j in range(k)]
+        for i in range(m)
+    ]
+    assert all(list(r) == sorted(r) for r in product.nonzeros)
+    # the elimination engine works on copies of the stored rows
+    group_from_presentation(M, n)
+    assert M.to_rows() == rows
+
+
+def test_sparse_storage_rejects_malformed_rows():
+    with pytest.raises(ValueError):
+        IntMatrix(1, 2, ({2: 1},))  # column out of range
+    with pytest.raises(ValueError):
+        IntMatrix(1, 2, ({0: 0},))  # stored zero
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, ({},))  # one row short
 
 
 @given(small_matrix)
@@ -183,6 +225,17 @@ def test_cohomology_bar_complex_z2():
     G = cyclic_group(2)
     C = build_homogeneous_complex(G, trivial_action(G), 3)
     assert complex_cohomology(C, 2) == FgAbGroup.cyclic(2)
+
+
+def test_cohomology_leaves_stored_rows_unchanged():
+    # the engine eliminates on copies; a second call sees the same complex
+    G = cyclic_group(4)
+    C = build_homogeneous_complex(G, trivial_action(G), 4)
+    before = [b.to_rows() for b in C.boundaries]
+    first = [complex_cohomology(C, q) for q in range(len(C.dims))]
+    assert [b.to_rows() for b in C.boundaries] == before
+    assert [complex_cohomology(C, q) for q in range(len(C.dims))] == first
+    assert [b.to_rows() for b in C.boundaries] == before
 
 
 def test_cohomology_rejects_bad_composition():

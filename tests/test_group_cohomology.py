@@ -3,6 +3,7 @@ import pytest
 from zetachi.abelian import FgAbGroup, complex_cohomology
 from zetachi.group_cohomology import (
     FiniteGroup,
+    GModuleAction,
     GroupValidationError,
     BudgetExceededError,
     cyclic_group,
@@ -82,6 +83,54 @@ def test_homogeneous_equals_inhomogeneous_up_to_q3(name, G):
     Ci = build_inhomogeneous_complex(G, A, p_max)
     for q in range(4):
         assert complex_cohomology(Ch, q) == complex_cohomology(Ci, q), (name, q)
+
+
+def regular_action(G):
+    """Z[G]: each element permutes the basis by left multiplication."""
+    n = G.order
+    return GModuleAction(n, tuple(
+        tuple(tuple(int(G.table[g][b] == a) for b in range(n)) for a in range(n))
+        for g in range(n)
+    ))
+
+
+def sign_action(G, sign):
+    return GModuleAction(1, tuple(((sign(g),),) for g in range(G.order)))
+
+
+def builder_cases():
+    groups = all_groups_up_to_6()
+    del groups["C1"]
+    cases = []
+    for name, G in sorted(groups.items()):
+        cases.append(pytest.param(G, trivial_action(G), id=f"{name}-Z"))
+        cases.append(pytest.param(G, regular_action(G), id=f"{name}-Z[G]"))
+    for n in (2, 4, 6):  # the generator acts by -1
+        G = groups[f"C{n}"]
+        cases.append(pytest.param(G, sign_action(G, lambda g: (-1) ** g),
+                                  id=f"C{n}-Z_sign"))
+    S3 = groups["S3"]  # transpositions act by -1
+    cases.append(pytest.param(S3, sign_action(
+        S3, lambda g: -1 if g != S3.identity and S3.table[g][g] == S3.identity
+        else 1), id="S3-Z_sign"))
+    # (g, h) in C2 x C2 has index 2g + h; the first factor acts by -1
+    cases.append(pytest.param(groups["V4"], sign_action(
+        groups["V4"], lambda g: -1 if g >= 2 else 1), id="V4-Z_sign"))
+    return cases
+
+
+@pytest.mark.parametrize("G,A", builder_cases())
+def test_builder_rows_are_nonzero_in_ascending_columns(G, A):
+    for build in (build_homogeneous_complex, build_inhomogeneous_complex):
+        C = build(G, A, 3)
+        for b in C.boundaries:
+            assert len(b.nonzeros) == b.rows
+            for r in b.nonzeros:
+                keys = list(r)
+                assert all(x < y for x, y in zip(keys, keys[1:])), build
+                assert all(r.values()), build
+                assert all(0 <= c < b.cols for c in keys), build
+        C.validate_composition()
 
 
 def test_cyclic_pattern():

@@ -131,6 +131,18 @@ def test_reduced_form_counts():
     assert enumerate_reduced_forms(5) == 1
 
 
+def test_field_invariants_factorises_discriminant_once(monkeypatch):
+    import zetachi.number_field as nf
+    seen = []
+    real_split = nf._split_discriminant
+    monkeypatch.setattr(nf, "_split_discriminant",
+                        lambda d: seen.append(d) or real_split(d))
+    for d in (-84, -23, 5, 229, 257):  # imaginary; real with N(e) = -1 and +1
+        seen.clear()
+        nf.field_invariants(d)
+        assert seen == [d]
+
+
 def test_reduced_forms_reject_non_fundamental():
     with pytest.raises(DiscriminantError):
         enumerate_reduced_forms(6)

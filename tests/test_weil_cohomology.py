@@ -84,6 +84,20 @@ def test_psi_complex_real():
     assert check_exact(based)
 
 
+def test_psi_complex_realified_once(monkeypatch):
+    import zetachi.exact_determinant as ed
+    built = []
+    real_init = ed.BasedRealComplex.__post_init__
+    monkeypatch.setattr(ed.BasedRealComplex, "__post_init__",
+                        lambda self: built.append(self) or real_init(self))
+    for d in (RATIONAL_FIELD, -23, 229):
+        built.clear()
+        based, graded = psi_complex(field_invariants(d))
+        assert graded.realified() is based
+        assert verify_field(d).passed
+        assert len(built) == 2  # one in psi_complex, one in verify_field
+
+
 def test_psi_dims_match_free_ranks():
     for d in [RATIONAL_FIELD] + CORPUS:
         based, graded = psi_complex(field_invariants(d))
