@@ -124,6 +124,8 @@ class FgAbGroup:
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         fs = self.invariant_factors
+        if not fs:
+            return
         if any(f < 2 for f in fs):
             raise ValueError("invariant factors must be >= 2")
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):

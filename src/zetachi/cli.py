@@ -187,8 +187,11 @@ def run(config: RunConfig, out=None):
         raise ValueError("no targets: give --field and/or --range")
     jobs = [(d, config.tolerance) for d in targets]
     if config.jobs > 1:
+        # about four batches a worker: few round trips, and still some
+        # balancing, since a field's cost grows with |d|
+        chunksize = max(1, len(jobs) // (4 * config.jobs))
         with ProcessPoolExecutor(max_workers=config.jobs) as ex:
-            reports = list(ex.map(_verify_one, jobs))
+            reports = list(ex.map(_verify_one, jobs, chunksize=chunksize))
     else:
         reports = [_verify_one(j) for j in jobs]
     if config.table:

@@ -6,6 +6,14 @@ spaces and by splitting off the image of the penultimate map in general.
 The Euler characteristic of a graded complex of finitely generated abelian
 groups is the alternating product of torsion orders divided by this
 determinant of the realified complex; only its absolute value is canonical.
+
+Zero spaces at either end of a complex are dropped before any linear
+algebra.  A zero space is always exact, so exactness does not change.  A
+trailing one leaves the determinant as it is.  Each leading one shifts the
+degrees by one, which swaps the roles of the even and odd spaces and so
+inverts the determinant; the value returned is still that of the complex
+as given.  The realified profile (0, R^r, R^r, 0) of a quadratic field
+thus reduces to the single map [R], or to nothing when r = 0.
 """
 
 from __future__ import annotations
@@ -86,13 +94,24 @@ def _rank(T, tol):
     return _rank_from_singular_values(np.linalg.svd(T, compute_uv=False), tol)
 
 
+def _trimmed(dims, maps):
+    """Drop the zero spaces at both ends: (number dropped in front, dims,
+    maps) of what is left."""
+    lo, hi = 0, len(dims)
+    while lo < hi and dims[lo] == 0:
+        lo += 1
+    while hi > lo and dims[hi - 1] == 0:
+        hi -= 1
+    return lo, dims[lo:hi], maps[lo:max(hi - 1, lo)]
+
+
 def check_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL) -> bool:
     """True iff the based complex is exact (ranks from singular values)."""
-    dims, maps = C.dims, C.maps
+    _, dims, maps = _trimmed(C.dims, C.maps)
     if not dims:
         return True
     if not maps:
-        return dims[0] == 0
+        return False
     for i in range(len(maps) - 1):
         comp = maps[i + 1] @ maps[i]
         if comp.size:
@@ -171,7 +190,7 @@ def _det_inductive_step(dims, maps, tol, rng):
 
 def _det(dims, maps, tol, rng):
     k = len(dims)
-    if k <= 1 or not any(dims):
+    if k <= 1:
         return 1.0
     if k == 2:
         return _det_two(dims[0], dims[1], maps[0])
@@ -189,7 +208,9 @@ def determinant_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL,
     """
     if not check_exact(C, tol):
         raise ExactnessError("complex is not exact")
-    return _det(C.dims, C.maps, tol, rng)
+    lead, dims, maps = _trimmed(C.dims, C.maps)
+    delta = _det(dims, maps, tol, rng)
+    return 1.0 / delta if lead % 2 else delta
 
 
 def torsion_alternating_product(groups) -> Fraction:
@@ -207,8 +228,5 @@ def euler_characteristic(G: GradedGroupComplex, tol: float = DEFAULT_TOL) -> flo
     """Alternating torsion product divided by the determinant of the
     realified based complex.  Only the absolute value is canonical; the
     sign reflects the standard-basis choice."""
-    C = G.realified()
-    if not check_exact(C, tol):
-        raise ExactnessError("realified complex is not exact")
-    delta = _det(C.dims, C.maps, tol, None)
+    delta = determinant_exact(G.realified(), tol)
     return float(torsion_alternating_product(G.groups)) / delta

@@ -3,18 +3,22 @@
 Class numbers come from reduced binary quadratic forms (counts of reduced
 forms in the imaginary case, cycles of reduced indefinite forms in the real
 case), fundamental units from the periodic continued fraction of the
-standard generator of the ring of integers.  Nothing here evaluates an
-L-function, so these invariants stay independent of the analytic oracle.
+standard generator of the ring of integers.  The regulator of the unit
+(x + y*sqrt(d)) / 2 of norm N is computed in float64 as
+
+    log x + log1p(sqrt(1 - 4N/x^2)) - log 2,
+
+which never forms y*sqrt(d) and never converts x to a float (`math.log`
+takes big ints).  Nothing here evaluates an L-function, so these
+invariants stay independent of the analytic oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import isqrt, log, log1p, prod, sqrt
 from operator import mul
 from typing import Optional
-
-import mpmath
 
 __all__ = [
     "RATIONAL_FIELD",
@@ -34,7 +38,7 @@ __all__ = [
 # Marker for the rational field; kept distinct from any discriminant value.
 RATIONAL_FIELD = "Q"
 
-_LOG_DPS = 40
+_LOG_2 = log(2)
 
 
 class DiscriminantError(ValueError):
@@ -386,9 +390,8 @@ def _fundamental_unit(d):
         x, y = 2 * p_curr - b0 * q_curr, q_curr
         norm4 = x * x - d * y * y
         if norm4 in (4, -4):
-            with mpmath.workdps(_LOG_DPS):
-                reg = mpmath.log((x + y * mpmath.sqrt(d)) / 2)
-                regulator = float(reg)
+            # y*sqrt(d) = sqrt(x^2 - norm4): the unit is x(1 + sqrt(1 - norm4/x^2))/2
+            regulator = log(x) + log1p(sqrt(1 - norm4 / (x * x))) - _LOG_2
             return (x, y), regulator, norm4 // 4
         P = a * Q - P
         Q = (d - P * P) // Q

@@ -98,27 +98,28 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
+# FgAbGroup is frozen, so every profile shares these two instances
+_ZERO = FgAbGroup.trivial()
+_Z = FgAbGroup.free(1)
+
+
 def compact_support_profile(inv: QuadraticFieldInvariants,
                             class_group: Optional[FgAbGroup] = None):
-    """H^0..H^3 with compact support: (0, Z^r, Z^r + Cl, Z/w) with r the
-    unit rank.  The torsion of degree 2 defaults to one cyclic factor of
-    order h; pass `class_group` to install a finer decomposition."""
+    """H^0..H^3 with compact support: (0, Z^r, Z^r + Cl, Z/w) with r <= 1
+    the unit rank.  The torsion of degree 2 defaults to one cyclic factor
+    of order h; pass `class_group` to install a finer decomposition."""
     r = inv.unit_rank
-    if class_group is None:
-        class_group = FgAbGroup.cyclic(inv.h)
-    elif class_group.free_rank or class_group.torsion_order != inv.h:
-        raise ValueError("class_group must be finite of order h")
-    h2 = FgAbGroup(free_rank=r, invariant_factors=class_group.invariant_factors)
-    return (
-        FgAbGroup.trivial(),
-        FgAbGroup.free(r),
-        h2,
-        FgAbGroup.cyclic(inv.w),
-    )
+    factors = (inv.h,) if inv.h > 1 else ()
+    if class_group is not None:
+        if class_group.free_rank or class_group.torsion_order != inv.h:
+            raise ValueError("class_group must be finite of order h")
+        factors = class_group.invariant_factors
+    return (_ZERO, _Z if r else _ZERO, FgAbGroup(r, factors),
+            FgAbGroup.cyclic(inv.w))
 
 
 def _open_from_compact(compact):
-    return (FgAbGroup.free(1), FgAbGroup.trivial(), compact[2], compact[3])
+    return (_Z, _ZERO, compact[2], compact[3])
 
 
 def open_profile(inv: QuadraticFieldInvariants,

@@ -11,9 +11,10 @@ Lerch's formula,
 summed in float64 with `math.fsum` (Washington, Cyclotomic Fields, GTM 83,
 ch. 4).  It follows from Lerch's `L'(0, chi) = sum_{a<q} chi(a) log Gamma(a/q)`
 by pairing a with q - a and applying the reflection formula, since chi is
-even.  The Stirling-series `log_gamma` is kept as the independent
-cross-check: the test suite requires the two routes to agree to 1e-12
-relative for every real field with d <= 300 and for fixed d up to 10^4
+even.  The independent cross-check, Lerch's sum itself over a
+Stirling-series log Gamma at 30 digits, lives with the tests
+(`tests/stirling.py`): the two routes must agree to 1e-12 relative for
+every real field with d <= 300 and for fixed d up to 10^4
 (`test_L_prime_sine_matches_log_gamma_sum`).  No class number, regulator,
 or unit enters anywhere in this module.
 """
@@ -23,16 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
-
-import mpmath
 
 from .number_field import RATIONAL_FIELD, KroneckerCharacter
 
 __all__ = [
     "ZetaStarValue",
     "ParityError",
-    "log_gamma",
     "L_at_zero",
     "L_prime_at_zero",
     "zeta_star_at_zero",
@@ -41,16 +40,6 @@ __all__ = [
 
 # zeta(0); the test suite re-derives this from a numeric continuation.
 ZETA_AT_ZERO = Fraction(-1, 2)
-
-_DPS = 30
-_STIRLING_SHIFT = 24
-
-# B_2, B_4, ..., B_20
-_BERNOULLI = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
-    Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
-]
 
 
 class ParityError(ValueError):
@@ -66,41 +55,11 @@ class ZetaStarValue:
     exact: Optional[Fraction] = None  # set when the leading value is rational
 
 
-def log_gamma(x, dps: int = _DPS):
-    """log Gamma(x) for x > 0 by upward recurrence and the Stirling series.
-
-    Accepts Fractions, ints and floats, all evaluated exactly at working
-    precision: the recurrence shift is one log of the exact rational
-    product x (x+1) ... (x+n-1) that lifts x to z = x + n >= 24.  Accuracy
-    is far below 1e-13 absolute for the arguments used here; the test suite
-    checks the reflection and duplication identities.
-    """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log_gamma requires a positive argument")
-    n = max(0, math.ceil(_STIRLING_SHIFT - x))
-    num, den = x.numerator, x.denominator
-    rising = 1
-    for j in range(n):
-        rising *= num + j * den
-    with mpmath.workdps(dps + 10):
-        z = mpmath.mpf(num + n * den) / den
-        shift = -mpmath.log(mpmath.mpf(rising) / den ** n)
-        out = (z - mpmath.mpf(1) / 2) * mpmath.log(z) - z \
-            + mpmath.log(2 * mpmath.pi) / 2
-        zpow = z
-        z2 = z * z
-        for k, b in enumerate(_BERNOULLI, start=1):
-            out += mpmath.mpf(b.numerator) / (b.denominator * 2 * k * (2 * k - 1) * zpow)
-            zpow *= z2
-        return out + shift
-
-
 def L_at_zero(chi: KroneckerCharacter) -> Fraction:
     """L(0, chi) for an odd character, as an exact rational first moment."""
     if not chi.is_odd:
         raise ParityError("L(0, chi) by finite sum needs an odd character")
-    return Fraction(-sum(a * v for a, v in enumerate(chi.values)), chi.modulus)
+    return Fraction(-sum(map(mul, range(chi.modulus), chi.values)), chi.modulus)
 
 
 def L_prime_at_zero(chi: KroneckerCharacter) -> float:

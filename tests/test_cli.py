@@ -72,6 +72,18 @@ def test_run_parallel_matches_serial():
         assert a.verdict == b.verdict
 
 
+def test_run_range_parallel_batches_match_serial():
+    # batched pool: same reports in the same order as a serial sweep
+    def dicts(jobs):
+        reports = run(RunConfig(range_bound=60, jobs=jobs), io.StringIO())[1]
+        return [{k: v for k, v in report_to_dict(r).items() if k != "elapsed_ms"}
+                for r in reports]
+
+    serial = dicts(1)
+    assert len(serial) == 39
+    assert dicts(2) == serial
+
+
 def test_show_profile_output():
     out = io.StringIO()
     run(RunConfig(targets=[-23], show_profile=True), out)

@@ -1,5 +1,6 @@
 from math import gcd, isqrt
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,6 +166,20 @@ def test_continued_fraction_units():
         assert unit == (x, y)
         assert n == norm
         assert regulator == pytest.approx(reg, abs=1e-12)
+
+
+def test_regulator_float64_error_budget():
+    # float64 log1p route against 40-digit mpmath, every real d <= 10^4
+    norms = set()
+    with mpmath.workdps(40):
+        for d in fundamental_discriminants(10_000):
+            if d < 0:
+                continue
+            (x, y), regulator, norm = continued_fraction_unit(d)
+            norms.add(norm)
+            ref = mpmath.log((x + y * mpmath.sqrt(d)) / 2)
+            assert abs(regulator - ref) <= 1e-15 * ref, d
+    assert norms == {1, -1}
 
 
 def test_unit_norm_equation_exact():

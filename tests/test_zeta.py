@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,11 +11,12 @@ from zetachi.number_field import KroneckerCharacter, field_invariants, \
 from zetachi.zeta import (
     ZETA_AT_ZERO,
     ParityError,
-    log_gamma,
     L_at_zero,
     L_prime_at_zero,
     zeta_star_at_zero,
 )
+
+from stirling import log_gamma
 
 CORPUS = fundamental_discriminants(300)
 
@@ -45,6 +49,17 @@ def test_log_gamma_against_library():
     import math
     for x in (0.05, 0.5, 1.0, 2.5, 19.0, 123.456):
         assert abs(float(log_gamma(x)) - math.lgamma(x)) < 1e-12
+
+
+def test_package_does_not_import_mpmath():
+    # mpmath serves only the test references (tests/stirling.py) and bench
+    import zetachi
+    src = os.path.dirname(os.path.dirname(zetachi.__file__))
+    code = "import sys, zetachi; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_L_at_zero_values():
