@@ -1,19 +1,29 @@
 """Determinants of based exact complexes of real vector spaces.
 
-The determinant compares the wedge of mapped and lifted basis vectors
-against the given bases, defined directly for complexes of two or three
-spaces and by splitting off the image of the penultimate map in general.
+Let V_0 -> V_1 -> ... -> V_n be an exact complex with maps T_i: V_i -> V_{i+1}
+and standard bases.  Let r_i be the rank of T_i and b_i a basis of lifts:
+r_i vectors that T_i maps onto a basis of its image.  By exactness
+T_{i-1} b_{i-1} is a basis of ker T_i, so [T_{i-1} b_{i-1} | b_i] is a basis
+of V_i, and the determinant of the complex is its torsion (Milnor,
+"Whitehead torsion", Bull. AMS 72, 1966, section 3),
+
+    prod_i det[T_{i-1} b_{i-1} | b_i] ^ (-1)^(i+1),
+
+with i the index of V_i in the complex as given.  Replacing b_i by b_i M
+scales the factors at V_i and V_{i+1} by det M, once up and once down, so
+the value does not depend on the lifts.  Here b_i are the first r_i right
+singular vectors of T_i, and the same SVD gives r_i.
+
+A zero space contributes the empty determinant 1 and costs no linear
+algebra; a leading one still shifts the parity of the spaces after it, so
+(0, V, W) has the inverse determinant of (V, W).  The realified profile
+(0, R, R, 0) of a real quadratic field, with the regulator as its map, thus
+costs one SVD and two 1 x 1 determinants and gives 1/R; the all-zero
+profile of Q or an imaginary field costs nothing.
+
 The Euler characteristic of a graded complex of finitely generated abelian
 groups is the alternating product of torsion orders divided by this
 determinant of the realified complex; only its absolute value is canonical.
-
-Zero spaces at either end of a complex are dropped before any linear
-algebra.  A zero space is always exact, so exactness does not change.  A
-trailing one leaves the determinant as it is.  Each leading one shifts the
-degrees by one, which swaps the roles of the even and odd spaces and so
-inverts the determinant; the value returned is still that of the complex
-as given.  The realified profile (0, R^r, R^r, 0) of a quadratic field
-thus reduces to the single map [R], or to nothing when r = 0.
 """
 
 from __future__ import annotations
@@ -23,8 +33,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-
-from .abelian import FgAbGroup
 
 __all__ = [
     "BasedRealComplex",
@@ -82,135 +90,67 @@ class GradedGroupComplex:
         return self._realified
 
 
-def _rank_from_singular_values(sv, tol):
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
-
-
-def _rank(T, tol):
+def _lifts(T, tol):
+    """Rank r of T and its first r right singular vectors, as columns: T
+    maps them onto a basis of its image."""
     if T.size == 0:
-        return 0
-    return _rank_from_singular_values(np.linalg.svd(T, compute_uv=False), tol)
+        return 0, np.zeros((T.shape[1], 0))
+    _, sv, Vt = np.linalg.svd(T, full_matrices=False)
+    r = int(np.count_nonzero(sv > tol * sv[0]))  # 0 when sv[0] is 0
+    return r, Vt[:r].T
 
 
-def _trimmed(dims, maps):
-    """Drop the zero spaces at both ends: (number dropped in front, dims,
-    maps) of what is left."""
-    lo, hi = 0, len(dims)
-    while lo < hi and dims[lo] == 0:
-        lo += 1
-    while hi > lo and dims[hi - 1] == 0:
-        hi -= 1
-    return lo, dims[lo:hi], maps[lo:max(hi - 1, lo)]
+def _is_exact(C, ranks, tol):
+    """Consecutive maps compose to zero and r_{i-1} + r_i = dim V_i at every
+    space, with r = 0 off both ends."""
+    r = (0, *ranks, 0)
+    if any(r[i] + r[i + 1] != d for i, d in enumerate(C.dims)):
+        return False
+    for i in range(len(C.maps) - 1):
+        A, B = C.maps[i], C.maps[i + 1]
+        if A.size and B.size:
+            scale = max(np.abs(B).max(), 1.0) * max(np.abs(A).max(), 1.0)
+            if np.abs(B @ A).max() > max(tol, 1e-12) * scale * C.dims[i + 1]:
+                return False
+    return True
 
 
 def check_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL) -> bool:
     """True iff the based complex is exact (ranks from singular values)."""
-    _, dims, maps = _trimmed(C.dims, C.maps)
-    if not dims:
-        return True
-    if not maps:
-        return False
-    for i in range(len(maps) - 1):
-        comp = maps[i + 1] @ maps[i]
-        if comp.size:
-            scale = max(np.abs(maps[i + 1]).max(), 1.0) * max(np.abs(maps[i]).max(), 1.0)
-            if np.abs(comp).max() > max(tol, 1e-12) * max(scale, 1.0) * dims[i + 1]:
-                return False
-    ranks = [_rank(T, tol) for T in maps]
-    if ranks[0] != dims[0]:
-        return False
-    if ranks[-1] != dims[-1]:
-        return False
-    for i in range(1, len(dims) - 1):
-        if ranks[i - 1] + ranks[i] != dims[i]:
-            return False
-    return True
+    return _is_exact(C, [_lifts(T, tol)[0] for T in C.maps], tol)
 
 
-def _image_basis(T, tol, rng=None):
-    """Column-orthonormal basis of im(T); optionally mixed by a random
-    invertible matrix so tests can exercise independence of the choice."""
-    if T.size == 0:
-        return np.zeros((T.shape[0], 0))
-    U, sv, _ = np.linalg.svd(T, full_matrices=False)
-    r = _rank_from_singular_values(sv, tol)
-    Q = U[:, :r]
-    if rng is not None and r:
-        while True:
-            M = rng.uniform(-1.0, 1.0, size=(r, r))
-            if abs(np.linalg.det(M)) > 1e-3:
-                break
-        Q = Q @ M
-    return Q
-
-
-def _det_two(d0, d1, T):
-    if d0 != d1:
-        raise ExactnessError("two-space complex must be an isomorphism")
-    if d0 == 0:
-        return 1.0
-    return float(np.linalg.det(T))
-
-
-def _det_three(d0, d1, d2, T0, T1):
-    """Direct formula: wedge of the mapped basis of V_0 and lifts of the
-    basis of V_2, compared against the basis of V_1.  When T0 or T1 is an
-    isomorphism the wedge is its determinant or the inverse of it."""
-    if d0 + d2 != d1:
-        raise ExactnessError("middle dimension must split as r + s")
-    if d1 == 0:
-        return 1.0
-    if d2 == 0:
-        return float(np.linalg.det(T0))
-    if d0 == 0:
-        return 1.0 / float(np.linalg.det(T1))
-    M = np.empty((d1, d1))
-    M[:, :d0] = T0
-    lifts, *_ = np.linalg.lstsq(T1, np.eye(d2), rcond=None)
-    M[:, d0:] = lifts
-    return float(np.linalg.det(M))
-
-
-def _det_inductive_step(dims, maps, tol, rng):
-    """Split off I = im(T_{n-2}) inside the penultimate space."""
-    Tpen, Tlast = maps[-2], maps[-1]
-    Cb = _image_basis(Tpen, tol, rng)
-    s = Cb.shape[1]
-    if s:
-        cores, *_ = np.linalg.lstsq(Cb, Tpen, rcond=None)
-    else:
-        cores = np.zeros((0, dims[-3]))
-    d1 = _det(dims[:-2] + (s,), maps[:-2] + (cores,), tol, rng)
-    d2 = _det_three(s, dims[-2], dims[-1], Cb, Tlast)
-    n = len(dims) - 1
-    return d1 * d2 if n % 2 == 0 else d1 / d2
-
-
-def _det(dims, maps, tol, rng):
-    k = len(dims)
-    if k <= 1:
-        return 1.0
-    if k == 2:
-        return _det_two(dims[0], dims[1], maps[0])
-    if k == 3:
-        return _det_three(*dims, *maps)
-    return _det_inductive_step(dims, maps, tol, rng)
+def _mixed(b, rng):
+    """b times a random invertible matrix."""
+    while True:
+        M = rng.uniform(-1.0, 1.0, size=(b.shape[1], b.shape[1]))
+        if abs(np.linalg.det(M)) > 1e-3:
+            return b @ M
 
 
 def determinant_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL,
                       rng=None) -> float:
     """Determinant of a based exact complex.
 
-    `rng`, when given, randomizes the internally chosen basis of the image
-    in the inductive step; the result does not depend on that choice.
+    `rng`, when given, mixes each basis of lifts by a random invertible
+    matrix; the result does not depend on that choice.
     """
-    if not check_exact(C, tol):
+    split = [_lifts(T, tol) for T in C.maps]
+    if not _is_exact(C, [r for r, _ in split], tol):
         raise ExactnessError("complex is not exact")
-    lead, dims, maps = _trimmed(C.dims, C.maps)
-    delta = _det(dims, maps, tol, rng)
-    return 1.0 / delta if lead % 2 else delta
+    lifts = [b if rng is None else _mixed(b, rng) for _, b in split]
+    delta = 1.0
+    for i, d in enumerate(C.dims):
+        if d == 0:
+            continue
+        cols = []
+        if i > 0:
+            cols.append(C.maps[i - 1] @ lifts[i - 1])
+        if i < len(lifts):
+            cols.append(lifts[i])
+        factor = np.linalg.det(np.concatenate(cols, axis=1))
+        delta = delta * factor if i % 2 else delta / factor
+    return float(delta)
 
 
 def torsion_alternating_product(groups) -> Fraction:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, IntMatrix, CochainComplex, complex_cohomology, \
-    integer_determinant
+    group_from_presentation
 
 __all__ = [
     "FiniteGroup",
@@ -130,8 +130,9 @@ class GModuleAction:
         for M in self.matrices:
             if len(M) != r or any(len(row) != r for row in M):
                 raise GroupValidationError("action matrix has wrong shape")
-            det = integer_determinant(IntMatrix.from_rows([list(row) for row in M], r))
-            if det not in (1, -1):
+            # unimodular iff the rows span Z^r, i.e. the cokernel is trivial
+            relations = IntMatrix.from_rows([list(row) for row in M], r)
+            if not group_from_presentation(relations, r).is_trivial():
                 raise GroupValidationError("action matrix is not invertible over Z")
         e = G.identity
         if self.matrices[e] != _identity_rows(r):

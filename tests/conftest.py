@@ -10,6 +10,14 @@ def random_exact_complex(rng, map_ranks):
     Dimensions are forced by exactness: d_i = r_{i-1} + r_i with r_{-1} =
     r_n = 0.  Built by conjugating shift maps with random invertible bases.
     """
+    dims, maps, _ = random_exact_complex_with_bases(rng, map_ranks)
+    return dims, maps
+
+
+def random_exact_complex_with_bases(rng, map_ranks):
+    """`random_exact_complex` and the bases S_i: T_i = S_{i+1} P_i S_i^-1,
+    where the shift P_i sends the trailing r_i coordinates of V_i to the
+    leading r_i of V_{i+1}."""
     ranks = [0] + list(map_ranks) + [0]
     dims = [ranks[i] + ranks[i + 1] for i in range(len(ranks) - 1)]
     bases = []
@@ -23,12 +31,11 @@ def random_exact_complex(rng, map_ranks):
     for i in range(len(dims) - 1):
         r = ranks[i + 1]
         P = np.zeros((dims[i + 1], dims[i]))
-        # send the trailing r coordinates of V_i to the leading r of V_{i+1}
         for j in range(r):
             P[j, dims[i] - r + j] = 1.0
         maps.append(bases[i + 1] @ P @ np.linalg.inv(bases[i]) if dims[i] and dims[i + 1]
                     else P)
-    return tuple(dims), tuple(maps)
+    return tuple(dims), tuple(maps), tuple(bases)
 
 
 def random_unimodular(rng, n, steps=12):

@@ -12,12 +12,12 @@ from zetachi.abelian import (
     smith_normal_form,
     group_from_presentation,
     complex_cohomology,
-    integer_determinant,
     _snf_diagonal,
 )
 from zetachi.group_cohomology import cyclic_group, trivial_action, \
     build_homogeneous_complex
 
+from bareiss import integer_determinant
 from conftest import random_unimodular
 
 

@@ -12,9 +12,8 @@ from zetachi.exact_determinant import (
     determinant_exact,
     euler_characteristic,
 )
-from zetachi.exact_determinant import _det_three, _det_inductive_step, DEFAULT_TOL
 
-from conftest import random_exact_complex
+from conftest import random_exact_complex, random_exact_complex_with_bases
 
 
 def based(dims, maps):
@@ -37,6 +36,14 @@ def test_check_exact_three_term():
 def test_check_exact_non_complex_fails():
     C = based((1, 1, 1), [np.array([[1.0]]), np.array([[1.0]])])
     assert not check_exact(C)
+
+
+def test_check_exact_ranks_fit_but_maps_do_not_compose():
+    # ranks (1, 1) fit the dimensions (1, 2, 1), but T1 T0 = 1
+    C = based((1, 2, 1), [np.array([[1.0], [0.0]]), np.array([[1.0, 1.0]])])
+    assert not check_exact(C)
+    with pytest.raises(ExactnessError):
+        determinant_exact(C)
 
 
 def test_determinant_one_map():
@@ -74,7 +81,9 @@ def test_internal_basis_independence(rng):
         C = based(dims, maps)
         ref = determinant_exact(C)
         for _ in range(100):
+            state = rng.bit_generator.state
             val = determinant_exact(C, rng=rng)
+            assert rng.bit_generator.state != state  # the lifts were mixed
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
 
@@ -99,13 +108,19 @@ def test_base_change_covariance(rng):
                 or abs(factor - 1.0 / detM) <= 1e-8 / abs(detM)), i
 
 
+def three_space_determinant(T0, T1):
+    """det[T0 | lifts of the basis of V_2], the lifts by least squares."""
+    lifts, *_ = np.linalg.lstsq(T1, np.eye(T1.shape[0]), rcond=None)
+    return np.linalg.det(np.hstack([T0, lifts]))
+
+
 def test_splice_consistency(rng):
-    # direct three-space formula vs the inductive split, 1e-9 relative
+    # the direct three-space formula vs the product over spaces, 1e-9 relative
     for ranks in [(1, 1), (2, 1), (2, 3)]:
         dims, maps = random_exact_complex(rng, ranks)
-        direct = _det_three(*dims, *maps)
-        inductive = _det_inductive_step(dims, maps, DEFAULT_TOL, None)
-        assert abs(direct - inductive) <= 1e-9 * abs(direct)
+        direct = three_space_determinant(*maps)
+        value = determinant_exact(based(dims, maps))
+        assert abs(direct - value) <= 1e-9 * abs(direct)
 
 
 def test_shift_inverts_determinant(rng):
@@ -113,6 +128,15 @@ def test_shift_inverts_determinant(rng):
     delta = determinant_exact(based((3, 3), [T]))
     shifted = determinant_exact(based((0, 3, 3), [np.zeros((3, 0)), T]))
     assert shifted == pytest.approx(1.0 / delta)
+
+
+def test_interior_zero_space():
+    # an isomorphism T_i between two spaces cut off by zeros counts as
+    # det(T_i)^((-1)^i): 3 from T_0 and 1/2 from T_3
+    C = based((1, 1, 0, 1, 1), [np.array([[3.0]]), np.zeros((0, 1)),
+                                np.zeros((1, 0)), np.array([[2.0]])])
+    assert check_exact(C)
+    assert determinant_exact(C) == pytest.approx(1.5, rel=1e-15)
 
 
 def pad(dims, maps, lead, trail):
@@ -152,6 +176,21 @@ def test_zero_end_padding(rng, monkeypatch, lead, trail):
         assert not check_exact(pad(dims, broken, lead, trail))
 
 
+def test_conjugated_shift_oracle(rng):
+    # T_i = S_{i+1} P_i S_i^-1 with P_i a shift, whose determinant is 1, so
+    # the complex has determinant prod det(S_i)^(-1)^(i+1), i counted from
+    # the first (possibly zero) space
+    for _ in range(2000):
+        ranks = tuple(int(r) for r in rng.integers(1, 4, size=rng.integers(1, 7)))
+        dims, maps, bases = random_exact_complex_with_bases(rng, ranks)
+        lead, trail = (int(k) for k in rng.integers(0, 3, size=2))
+        expect = 1.0
+        for i, S in enumerate(bases, start=lead):
+            expect *= np.linalg.det(S) ** (-1) ** (i + 1)
+        value = determinant_exact(pad(dims, maps, lead, trail))
+        assert abs(value - expect) <= 1e-12 * abs(expect), (ranks, lead, trail)
+
+
 def test_euler_characteristic_pure_torsion():
     groups = (FgAbGroup.trivial(), FgAbGroup.trivial(),
               FgAbGroup.trivial(), FgAbGroup.cyclic(2))
@@ -173,18 +212,22 @@ def test_euler_characteristic_zero_complex_skips_linear_algebra(monkeypatch):
 
 
 def test_euler_characteristic_real_field_shape_call_counts(monkeypatch):
-    # (0, Z, Z + Z/3, Z/2) with the regulator as the middle map: trimmed to
-    # the single map [0.75], so one SVD for its rank and no least squares
+    # (0, Z, Z + Z/3, Z/2) with the regulator as the middle map [0.75]: one
+    # SVD for its rank and lift, no least squares, and one 1 x 1 determinant
+    # at each of the two nonzero spaces
     svd = mock.Mock(wraps=np.linalg.svd)
     lstsq = mock.Mock(wraps=np.linalg.lstsq)
+    det = mock.Mock(wraps=np.linalg.det)
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(np.linalg, "det", det)
     groups = (FgAbGroup.trivial(), FgAbGroup.free(1),
               FgAbGroup(1, (3,)), FgAbGroup.cyclic(2))
     maps = (np.zeros((1, 0)), np.array([[0.75]]), np.zeros((0, 1)))
     chi = euler_characteristic(GradedGroupComplex(groups, maps))
     assert abs(chi) == pytest.approx(3 * 0.75 / 2, rel=1e-15)
     assert (svd.call_count, lstsq.call_count) == (1, 0)
+    assert det.call_count == 2
 
 
 def test_euler_characteristic_times_three():

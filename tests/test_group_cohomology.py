@@ -162,6 +162,16 @@ def test_invalid_group_table_rejected():
         build_homogeneous_complex(bad, trivial_action(cyclic_group(2)), 2)
 
 
+def test_action_must_be_unimodular():
+    # C2 acting on Z^2; the generator's matrix must be invertible over Z
+    G = cyclic_group(2)
+    one = ((1, 0), (0, 1))
+    GModuleAction(2, (one, ((1, 0), (1, -1)))).validate(G)
+    for M in [((1, 1), (1, -1)), ((2, 0), (0, 1)), ((1, 1), (1, 1))]:
+        with pytest.raises(GroupValidationError, match="invertible over Z"):
+            GModuleAction(2, (one, M)).validate(G)
+
+
 def test_budget_is_enforced():
     G = cyclic_group(6)
     with pytest.raises(BudgetExceededError):
