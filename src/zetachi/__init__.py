@@ -3,11 +3,9 @@ Euler characteristics of finitely generated cohomology profiles."""
 
 from .abelian import (
     IntMatrix,
-    SnfResult,
     FgAbGroup,
     CochainComplex,
     MalformedComplexError,
-    smith_normal_form,
     group_from_presentation,
     complex_cohomology,
 )
@@ -37,7 +35,6 @@ from .number_field import (
     KroneckerCharacter,
     is_fundamental_discriminant,
     fundamental_discriminants,
-    kronecker_symbol,
     enumerate_reduced_forms,
     continued_fraction_unit,
     field_invariants,
@@ -47,7 +44,6 @@ from .weil_cohomology import (
     CohomologyProfile,
     VerificationReport,
     compact_support_profile,
-    open_profile,
     cohomology_profile,
     psi_complex,
     verify_field,

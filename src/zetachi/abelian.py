@@ -6,9 +6,7 @@ H^q = Z^{n_q - rk d_q - rk d_{q-1}} + tors(coker d_{q-1}).  Matrices are
 stored sparse, one {column: value} dict of nonzeros per row; the composition
 check and the one elimination engine, which gives the Smith diagonal
 without transforms for both presentations and cohomology, read those rows
-as stored.  The Smith normal form with its unimodular transforms is kept as
-the reference that the tests compare the engine against.  Everything is
-exact Python-integer arithmetic.
+as stored.  Everything is exact Python-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,11 +16,9 @@ from math import gcd, prod
 
 __all__ = [
     "IntMatrix",
-    "SnfResult",
     "FgAbGroup",
     "CochainComplex",
     "MalformedComplexError",
-    "smith_normal_form",
     "group_from_presentation",
     "complex_cohomology",
 ]
@@ -74,43 +70,12 @@ class IntMatrix:
     def to_rows(self):
         return [[r.get(j, 0) for j in range(self.cols)] for r in self.nonzeros]
 
-    def __getitem__(self, ij):
-        i, j = ij
-        if not 0 <= j < self.cols:
-            raise IndexError("column index out of range")
-        return self.nonzeros[i].get(j, 0)
-
-    def transpose(self):
-        cols = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.nonzeros):
-            for j, v in r.items():
-                cols[j][i] = v
-        return IntMatrix(self.cols, self.rows, tuple(cols))
-
-    def diagonal(self):
-        return [self.nonzeros[i].get(i, 0) for i in range(min(self.rows, self.cols))]
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         return IntMatrix(self.rows, other.cols, tuple(
             {j: r[j] for j in sorted(r)}
             for r in _sparse_product(self.nonzeros, other.nonzeros)))
-
-    def is_zero(self):
-        return not any(self.nonzeros)
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """U @ M @ V = D with U, V unimodular and D in Smith normal form."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    def rank(self):
-        return sum(1 for x in self.D.diagonal() if x != 0)
 
 
 @dataclass(frozen=True)
@@ -211,98 +176,7 @@ def _axpy(r, q, s):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def _pivot_python(A, t, m, n):
-    best = None
-    for i in range(t, m):
-        Ai = A[i]
-        for j in range(t, n):
-            v = Ai[j]
-            if v:
-                a = -v if v < 0 else v
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-        if best is not None and best[0] == 1:
-            break
-    return best
-
-
-def _swap_cols(rows, a, b):
-    for r in rows:
-        r[a], r[b] = r[b], r[a]
-
-
-def _snf_python(rows, m, n):
-    A = [list(r) for r in rows]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    for t in range(min(m, n)):
-        piv = _pivot_python(A, t, m, n)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        if pi != t:
-            A[t], A[pi] = A[pi], A[t]
-            U[t], U[pi] = U[pi], U[t]
-        if pj != t:
-            _swap_cols(A, t, pj)
-            _swap_cols(V, t, pj)
-        while True:
-            for i in range(t + 1, m):
-                while A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
-            for j in range(t + 1, n):
-                while A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-                        for row in V:
-                            row[j] -= q * row[t]
-                    if A[t][j]:
-                        _swap_cols(A, t, j)
-                        _swap_cols(V, t, j)
-            if any(A[i][t] for i in range(t + 1, m)):
-                continue
-            d = A[t][t]
-            bad = next(
-                (i for i in range(t + 1, m)
-                 if any(A[i][j] % d for j in range(t + 1, n))),
-                None,
-            )
-            if bad is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[bad])]
-            U[t] = [x + y for x, y in zip(U[t], U[bad])]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-    return A, U, V
-
-
-def smith_normal_form(M: IntMatrix) -> SnfResult:
-    """Diagonalize M by unimodular transforms: U @ M @ V = D.
-
-    The diagonal of D is non-negative and each nonzero entry divides the
-    next.  Pivoting is deterministic (smallest absolute value, row-major).
-    This is the reference the transform-free `_snf_diagonal` is tested
-    against.
-    """
-    m, n = M.rows, M.cols
-    D, U, V = _snf_python(M.to_rows(), m, n)
-    return SnfResult(
-        U=IntMatrix.from_rows(U, m),
-        D=IntMatrix.from_rows(D, n),
-        V=IntMatrix.from_rows(V, n),
-    )
+# Smith diagonal
 
 
 def _pivot_sparse(rows):

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .abelian import FgAbGroup
-from .number_field import RATIONAL_FIELD, is_fundamental_discriminant, \
-    fundamental_discriminants
+from .number_field import RATIONAL_FIELD, DiscriminantError, \
+    fundamental_discriminants, prime_discriminants
 from .weil_cohomology import VerificationReport, verify_field
 from .zeta import ZetaStarValue
 
@@ -42,8 +42,13 @@ class RunConfig:
         if self.range_bound is not None and self.range_bound < 3:
             raise ValueError("range bound must be at least 3")
         for t in self.targets:
-            if t != RATIONAL_FIELD and not is_fundamental_discriminant(t):
-                raise ValueError(f"{t} is not a fundamental discriminant")
+            if t == RATIONAL_FIELD:
+                continue
+            try:
+                prime_discriminants(t)
+            except DiscriminantError as exc:
+                raise ValueError(
+                    f"{t} is not a fundamental discriminant: {exc}") from None
 
     def resolved_targets(self):
         """Explicit targets plus the range sweep, ordered by |d| then sign,
@@ -258,7 +263,3 @@ def main(argv=None):
     except ValueError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

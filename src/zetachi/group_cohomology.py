@@ -27,7 +27,8 @@ __all__ = [
     "group_cohomology_q",
 ]
 
-DEFAULT_TERM_BUDGET = 20000
+# largest cochain term (rows) a complex may have
+TERM_BUDGET = 20000
 
 
 class GroupValidationError(ValueError):
@@ -169,12 +170,12 @@ def _tuple_index(n, tup):
     return i
 
 
-def _check_budget(G, A, p_max, budget):
+def _check_budget(G, A, p_max):
     for p in range(p_max + 1):
-        if G.order ** p * A.rank > budget:
+        if G.order ** p * A.rank > TERM_BUDGET:
             raise BudgetExceededError(
                 f"degree-{p} term has rank {G.order ** p * A.rank}, "
-                f"budget is {budget}"
+                f"budget is {TERM_BUDGET}"
             )
 
 
@@ -183,7 +184,7 @@ def _validate_inputs(G, A):
     A.validate(G)
 
 
-def _build_complex(G, A, p_max, budget, blocks):
+def _build_complex(G, A, p_max, blocks):
     """Coboundaries in degrees 0..p_max written straight as sparse rows.
 
     `blocks(G, A, p)`, called once the inputs are valid, returns `block`;
@@ -196,7 +197,7 @@ def _build_complex(G, A, p_max, budget, blocks):
     _validate_inputs(G, A)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    _check_budget(G, A, p_max + 1, budget)
+    _check_budget(G, A, p_max + 1)
     n, r = G.order, A.rank
     dims = tuple(n ** p * r for p in range(p_max + 1))
     boundaries = []
@@ -246,8 +247,8 @@ def _inhomogeneous_blocks(G, A, p):
     return block
 
 
-def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
-                              budget=DEFAULT_TERM_BUDGET) -> CochainComplex:
+def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction,
+                              p_max: int) -> CochainComplex:
     """Homogeneous cochain complex in degrees 0..p_max.
 
     A degree-p cochain is an equivariant map out of (p+1)-tuples of group
@@ -256,20 +257,19 @@ def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
     the module.  The coboundary alternately omits each tuple entry, with the
     omitted-first term pulled back to a normalized tuple through the action.
     """
-    return _build_complex(G, A, p_max, budget, _homogeneous_blocks)
+    return _build_complex(G, A, p_max, _homogeneous_blocks)
 
 
-def build_inhomogeneous_complex(G: FiniteGroup, A: GModuleAction, p_max: int,
-                                budget=DEFAULT_TERM_BUDGET) -> CochainComplex:
+def build_inhomogeneous_complex(G: FiniteGroup, A: GModuleAction,
+                                p_max: int) -> CochainComplex:
     """Inhomogeneous cochain complex in degrees 0..p_max (cross-check route)."""
-    return _build_complex(G, A, p_max, budget, _inhomogeneous_blocks)
+    return _build_complex(G, A, p_max, _inhomogeneous_blocks)
 
 
 def group_cohomology_q(G: FiniteGroup, A: GModuleAction, q: int,
-                       budget=DEFAULT_TERM_BUDGET,
                        complex_builder=build_homogeneous_complex) -> FgAbGroup:
     """H^q of the finite group G with coefficients in the given action."""
     if q < 0:
         raise ValueError("degree must be non-negative")
-    C = complex_builder(G, A, max(q + 1, 1), budget=budget)
+    C = complex_builder(G, A, max(q + 1, 1))
     return complex_cohomology(C, q)

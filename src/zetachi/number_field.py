@@ -28,7 +28,6 @@ __all__ = [
     "is_fundamental_discriminant",
     "prime_discriminants",
     "fundamental_discriminants",
-    "kronecker_symbol",
     "enumerate_reduced_forms",
     "enumerate_reduced_forms_recount",
     "continued_fraction_unit",
@@ -100,43 +99,42 @@ _EVEN_PRIME_DISCRIMINANT_TABLES = {
 }
 
 
-def _split_discriminant(d):
-    """The prime discriminants whose product is d, or None when d is not a
-    fundamental discriminant.  An integer d != 1 is fundamental exactly when
-    its odd part is squarefree and d divided by the product of the odd p* is
-    1, -4, 8 or -8."""
-    if not isinstance(d, int) or d in (0, 1) or d % 4 in (2, 3):
-        return None
-    rest = abs(d)
-    while rest % 2 == 0:
-        rest //= 2
+def prime_discriminants(d):
+    """Split a fundamental discriminant into prime discriminants: -4, 8 or
+    -8 when d is even, then p* = +-p = 1 mod 4 for each odd prime p | d
+    (Cohen, GTM 138, ch. 5).  Their product is d.
+
+    An integer d != 1 is fundamental exactly when d = 1 mod 4 and d is
+    squarefree, or d = 4m with m = 2 or 3 mod 4 and m squarefree.  Raises
+    DiscriminantError naming the criterion that fails."""
+    if not isinstance(d, int):
+        raise DiscriminantError(f"{d!r} is not an integer discriminant")
+    if d in (0, 1):
+        raise DiscriminantError(f"{d} is not the discriminant of a quadratic field")
+    if d % 4 in (2, 3):
+        raise DiscriminantError(f"{d} = {d % 4} mod 4; discriminants are 0 or 1 mod 4")
+    if d % 4 == 1:
+        m, shape = d, f"{d} = 1 mod 4 but is"
+    else:
+        m = d // 4
+        if m % 4 not in (2, 3):
+            raise DiscriminantError(f"{d} = 4*{m} with {m} = {m % 4} mod 4")
+        shape = f"{d} = 4*{m} but {m} is"
+    rest = abs(m) if m % 2 else abs(m) // 2
     factors = []
     p = 3
     while p * p <= rest:
         if rest % p == 0:
             rest //= p
             if rest % p == 0:
-                return None
+                raise DiscriminantError(f"{shape} not squarefree: {p}^2 divides it")
             factors.append(p if p % 4 == 1 else -p)
         p += 2
     if rest > 1:
         factors.append(rest if rest % 4 == 1 else -rest)
+    # the criteria above leave d / prod(p*) in {1, -4, 8, -8}
     even = d // prod(factors)
-    if even == 1:
-        return factors
-    if even in _EVEN_PRIME_DISCRIMINANT_TABLES:
-        return [even] + factors
-    return None
-
-
-def prime_discriminants(d):
-    """Split a fundamental discriminant into prime discriminants: -4, 8 or
-    -8 when d is even, then p* = +-p = 1 mod 4 for each odd prime p | d
-    (Cohen, GTM 138, ch. 5).  Their product is d."""
-    factors = _split_discriminant(d)
-    if factors is None:
-        raise DiscriminantError(_fundamental_failure(d))
-    return factors
+    return factors if even == 1 else [even] + factors
 
 
 def _prime_discriminant_table(f):
@@ -152,81 +150,22 @@ def _prime_discriminant_table(f):
     return table
 
 
-def _fundamental_failure(d):
-    if not isinstance(d, int):
-        return f"{d!r} is not an integer discriminant"
-    if d in (0, 1):
-        return f"{d} is not the discriminant of a quadratic field"
-    if d % 4 == 1:
-        return f"{d} = 1 mod 4 but is not squarefree"
-    if d % 4 != 0:
-        return f"{d} = {d % 4} mod 4; discriminants are 0 or 1 mod 4"
-    m = d // 4
-    if m % 4 not in (2, 3):
-        return f"{d} = 4*{m} with {m} = {m % 4} mod 4"
-    return f"{d} = 4*{m} but {m} is not squarefree"
-
-
 def is_fundamental_discriminant(d) -> bool:
-    return _split_discriminant(d) is not None
+    try:
+        prime_discriminants(d)
+    except DiscriminantError:
+        return False
+    return True
 
 
 def fundamental_discriminants(bound):
     """All fundamental discriminants with |d| <= bound, sorted by (|d|, sign)."""
-    out = [d for a in range(2, bound + 1) for d in (-a, a)
-           if is_fundamental_discriminant(d)]
-    return sorted(out, key=lambda d: (abs(d), d))
-
-
-# ---------------------------------------------------------------------------
-# Kronecker symbol
-
-
-def _jacobi(a, m):
-    # m odd positive
-    a %= m
-    r = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if m % 8 in (3, 5):
-                r = -r
-        a, m = m, a
-        if a % 4 == 3 and m % 4 == 3:
-            r = -r
-        a %= m
-    return r if m == 1 else 0
-
-
-def kronecker_symbol(d, n: int) -> int:
-    """The Kronecker symbol (d / n) for n >= 0."""
-    if d == RATIONAL_FIELD:
-        d = 1
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1 if d in (1, -1) else 0
-    r = 1
-    e = 0
-    m = n
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    if e:
-        if d % 2 == 0:
-            return 0
-        if e % 2 and d % 8 in (3, 5):
-            r = -r
-    return r * _jacobi(d, m)
+    return [d for a in range(2, bound + 1) for d in (-a, a)
+            if is_fundamental_discriminant(d)]
 
 
 # ---------------------------------------------------------------------------
 # binary quadratic forms
-
-
-def _require_fundamental(d):
-    if d == RATIONAL_FIELD or not is_fundamental_discriminant(d):
-        raise DiscriminantError(_fundamental_failure(d))
 
 
 def _reduced_forms_imaginary(d):
@@ -337,7 +276,7 @@ def enumerate_reduced_forms(d) -> int:
     """Class count from reduced forms: number of reduced positive definite
     forms for d < 0, number of cycles of reduced indefinite forms (the
     narrow class number) for d > 0."""
-    _require_fundamental(d)
+    prime_discriminants(d)
     return _class_count(d)
 
 
@@ -351,7 +290,7 @@ def _class_count(d):
 def enumerate_reduced_forms_recount(d) -> int:
     """Independent recount with a different sweep (and, in the real case,
     the inverse reduction step)."""
-    _require_fundamental(d)
+    prime_discriminants(d)
     if d < 0:
         return len(_reduced_forms_imaginary_recount(d))
     return _count_cycles(_reduced_forms_real_recount(d), d, backward=True)
@@ -368,7 +307,7 @@ def continued_fraction_unit(d):
     regulator log of the unit, from the periodic continued fraction of
     (b0 + sqrt(d)) / 2 where b0 is the parity of d.
     """
-    _require_fundamental(d)
+    prime_discriminants(d)
     if d < 0:
         raise DiscriminantError("fundamental unit requires a real field (d > 0)")
     return _fundamental_unit(d)
@@ -410,7 +349,7 @@ def field_invariants(d) -> QuadraticFieldInvariants:
             d=RATIONAL_FIELD, r1=1, r2=0, w=2, h=1,
             fundamental_unit=None, unit_norm=None, regulator=1.0,
         )
-    _require_fundamental(d)
+    prime_discriminants(d)
     if d < 0:
         w = 6 if d == -3 else 4 if d == -4 else 2
         return QuadraticFieldInvariants(

@@ -38,7 +38,6 @@ __all__ = [
     "PsiComplexNotExactError",
     "InternalIdentityError",
     "compact_support_profile",
-    "open_profile",
     "cohomology_profile",
     "psi_complex",
     "verify_field",
@@ -118,18 +117,11 @@ def compact_support_profile(inv: QuadraticFieldInvariants,
             FgAbGroup.cyclic(inv.w))
 
 
-def _open_from_compact(compact):
-    return (_Z, _ZERO, compact[2], compact[3])
-
-
-def open_profile(inv: QuadraticFieldInvariants,
-                 class_group: Optional[FgAbGroup] = None):
-    """H^0..H^3 without supports: (Z, 0, same degree 2, Z/w)."""
-    return _open_from_compact(compact_support_profile(inv, class_group))
-
-
 def _profile_from_compact(compact) -> CohomologyProfile:
-    return CohomologyProfile(compact=compact, open=_open_from_compact(compact))
+    """The open groups H^0..H^3 without supports are (Z, 0, same degree 2,
+    Z/w)."""
+    return CohomologyProfile(compact=compact,
+                             open=(_Z, _ZERO, compact[2], compact[3]))
 
 
 def cohomology_profile(inv: QuadraticFieldInvariants,

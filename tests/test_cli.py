@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +158,31 @@ def test_main_usage_error_exit_two(capsys):
         main(["--field", "6"])
     assert exc.value.code == USAGE_ERROR
     assert "6 is not a fundamental discriminant" in capsys.readouterr().err
+
+
+def test_main_names_the_failed_criterion(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", "-180"])
+    assert exc.value.code == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "-180 is not a fundamental discriminant: " in err
+    assert "squarefree" in err and "3^2 divides it" in err
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def zetachi(*args):
+        return subprocess.run([sys.executable, "-m", "zetachi", *args],
+                              capture_output=True, text=True, env=env)
+
+    ok = zetachi("--field", "5")
+    assert ok.returncode == 0
+    assert "1 passed, 0 failed" in ok.stdout
+    bad = zetachi("--field", "6")
+    assert bad.returncode == USAGE_ERROR
+    assert "is not a fundamental discriminant" in bad.stderr
 
 
 @pytest.mark.parametrize("flags, message", [

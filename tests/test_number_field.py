@@ -10,13 +10,14 @@ from zetachi.number_field import (
     KroneckerCharacter,
     is_fundamental_discriminant,
     fundamental_discriminants,
-    kronecker_symbol,
     prime_discriminants,
     enumerate_reduced_forms,
     enumerate_reduced_forms_recount,
     continued_fraction_unit,
     field_invariants,
 )
+
+from kronecker import kronecker_symbol
 
 CORPUS = fundamental_discriminants(300)
 
@@ -82,6 +83,15 @@ def test_fundamental_discriminant_predicate():
         assert not is_fundamental_discriminant(bad)
 
 
+def test_fundamental_discriminants_sorted_by_size_then_sign():
+    expect = sorted((d for a in range(2, 3001) for d in (-a, a)
+                     if is_fundamental_discriminant(d)),
+                    key=lambda d: (abs(d), d))
+    got = fundamental_discriminants(3000)
+    assert got == expect
+    assert len(got) == 1820  # `--field Q --range 3000` adds Q: 1 821 fields
+
+
 def _squarefree(n):
     return all(n % (p * p) for p in range(2, isqrt(n) + 1))
 
@@ -135,8 +145,8 @@ def test_reduced_form_counts():
 def test_field_invariants_factorises_discriminant_once(monkeypatch):
     import zetachi.number_field as nf
     seen = []
-    real_split = nf._split_discriminant
-    monkeypatch.setattr(nf, "_split_discriminant",
+    real_split = nf.prime_discriminants
+    monkeypatch.setattr(nf, "prime_discriminants",
                         lambda d: seen.append(d) or real_split(d))
     for d in (-84, -23, 5, 229, 257):  # imaginary; real with N(e) = -1 and +1
         seen.clear()
