@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,13 +34,20 @@ class RunConfig:
     show_profile: bool = False
 
     def validate(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not 0 < self.tolerance < 1:  # at tol >= 1 even chi = 0 passes
             raise ValueError(f"tolerance must be positive and finite, "
-                             f"got {self.tolerance!r}")
+                             f"below 1, got {self.tolerance!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
         if self.range_bound is not None and self.range_bound < 3:
             raise ValueError("range bound must be at least 3")
+        if self.json_path is not None:
+            # checked now, not after the sweep that it would end
+            if os.path.isdir(self.json_path):
+                raise ValueError(f"{self.json_path} is a directory")
+            parent = os.path.dirname(self.json_path) or os.curdir
+            if not os.path.isdir(parent):
+                raise ValueError(f"{parent} is not an existing directory")
         for t in self.targets:
             if t == RATIONAL_FIELD:
                 continue
@@ -134,11 +141,6 @@ def report_from_dict(obj):
     )
 
 
-def _verify_one(args):
-    d, tol = args
-    return verify_field(d, tol)
-
-
 def _field_label(d):
     return "Q" if d == RATIONAL_FIELD else str(d)
 
@@ -190,15 +192,17 @@ def run(config: RunConfig, out=None):
     targets = config.resolved_targets()
     if not targets:
         raise ValueError("no targets: give --field and/or --range")
-    jobs = [(d, config.tolerance) for d in targets]
-    if config.jobs > 1:
+    verify = functools.partial(verify_field, tol=config.tolerance)
+    # the pool forks all its workers at once: no more than fields or cores
+    workers = min(config.jobs, len(targets), os.cpu_count() or 1)
+    if workers > 1:
         # about four batches a worker: few round trips, and still some
         # balancing, since a field's cost grows with |d|
-        chunksize = max(1, len(jobs) // (4 * config.jobs))
-        with ProcessPoolExecutor(max_workers=config.jobs) as ex:
-            reports = list(ex.map(_verify_one, jobs, chunksize=chunksize))
+        chunksize = max(1, len(targets) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            reports = list(ex.map(verify, targets, chunksize=chunksize))
     else:
-        reports = [_verify_one(j) for j in jobs]
+        reports = list(map(verify, targets))
     if config.table:
         _print_table(reports, out)
     if config.show_profile:

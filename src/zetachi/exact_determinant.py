@@ -44,7 +44,7 @@ __all__ = [
     "torsion_alternating_product",
 ]
 
-DEFAULT_TOL = 1e-10
+RANK_TOL = 1e-10  # relative cutoff for singular values and for d o d = 0
 
 
 class ExactnessError(ValueError):
@@ -90,17 +90,17 @@ class GradedGroupComplex:
         return self._realified
 
 
-def _lifts(T, tol):
+def _lifts(T):
     """Rank r of T and its first r right singular vectors, as columns: T
     maps them onto a basis of its image."""
     if T.size == 0:
         return 0, np.zeros((T.shape[1], 0))
     _, sv, Vt = np.linalg.svd(T, full_matrices=False)
-    r = int(np.count_nonzero(sv > tol * sv[0]))  # 0 when sv[0] is 0
+    r = int(np.count_nonzero(sv > RANK_TOL * sv[0]))  # 0 when sv[0] is 0
     return r, Vt[:r].T
 
 
-def _is_exact(C, ranks, tol):
+def _is_exact(C, ranks):
     """Consecutive maps compose to zero and r_{i-1} + r_i = dim V_i at every
     space, with r = 0 off both ends."""
     r = (0, *ranks, 0)
@@ -110,14 +110,14 @@ def _is_exact(C, ranks, tol):
         A, B = C.maps[i], C.maps[i + 1]
         if A.size and B.size:
             scale = max(np.abs(B).max(), 1.0) * max(np.abs(A).max(), 1.0)
-            if np.abs(B @ A).max() > max(tol, 1e-12) * scale * C.dims[i + 1]:
+            if np.abs(B @ A).max() > RANK_TOL * scale * C.dims[i + 1]:
                 return False
     return True
 
 
-def check_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL) -> bool:
+def check_exact(C: BasedRealComplex) -> bool:
     """True iff the based complex is exact (ranks from singular values)."""
-    return _is_exact(C, [_lifts(T, tol)[0] for T in C.maps], tol)
+    return _is_exact(C, [_lifts(T)[0] for T in C.maps])
 
 
 def _mixed(b, rng):
@@ -128,15 +128,14 @@ def _mixed(b, rng):
             return b @ M
 
 
-def determinant_exact(C: BasedRealComplex, tol: float = DEFAULT_TOL,
-                      rng=None) -> float:
+def determinant_exact(C: BasedRealComplex, rng=None) -> float:
     """Determinant of a based exact complex.
 
     `rng`, when given, mixes each basis of lifts by a random invertible
     matrix; the result does not depend on that choice.
     """
-    split = [_lifts(T, tol) for T in C.maps]
-    if not _is_exact(C, [r for r, _ in split], tol):
+    split = [_lifts(T) for T in C.maps]
+    if not _is_exact(C, [r for r, _ in split]):
         raise ExactnessError("complex is not exact")
     lifts = [b if rng is None else _mixed(b, rng) for _, b in split]
     delta = 1.0
@@ -164,9 +163,9 @@ def torsion_alternating_product(groups) -> Fraction:
     return Fraction(num, den)
 
 
-def euler_characteristic(G: GradedGroupComplex, tol: float = DEFAULT_TOL) -> float:
+def euler_characteristic(G: GradedGroupComplex) -> float:
     """Alternating torsion product divided by the determinant of the
     realified based complex.  Only the absolute value is canonical; the
     sign reflects the standard-basis choice."""
-    delta = determinant_exact(G.realified(), tol)
+    delta = determinant_exact(G.realified())
     return float(torsion_alternating_product(G.groups)) / delta

@@ -10,7 +10,6 @@ h*R/w, which is compared against an independent analytic oracle.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,17 +101,12 @@ _ZERO = FgAbGroup.trivial()
 _Z = FgAbGroup.free(1)
 
 
-def compact_support_profile(inv: QuadraticFieldInvariants,
-                            class_group: Optional[FgAbGroup] = None):
+def compact_support_profile(inv: QuadraticFieldInvariants):
     """H^0..H^3 with compact support: (0, Z^r, Z^r + Cl, Z/w) with r <= 1
-    the unit rank.  The torsion of degree 2 defaults to one cyclic factor
-    of order h; pass `class_group` to install a finer decomposition."""
+    the unit rank.  The torsion of degree 2 is one cyclic factor of order
+    h, read from the invariants."""
     r = inv.unit_rank
     factors = (inv.h,) if inv.h > 1 else ()
-    if class_group is not None:
-        if class_group.free_rank or class_group.torsion_order != inv.h:
-            raise ValueError("class_group must be finite of order h")
-        factors = class_group.invariant_factors
     return (_ZERO, _Z if r else _ZERO, FgAbGroup(r, factors),
             FgAbGroup.cyclic(inv.w))
 
@@ -124,13 +118,11 @@ def _profile_from_compact(compact) -> CohomologyProfile:
                              open=(_Z, _ZERO, compact[2], compact[3]))
 
 
-def cohomology_profile(inv: QuadraticFieldInvariants,
-                       class_group: Optional[FgAbGroup] = None) -> CohomologyProfile:
-    return _profile_from_compact(compact_support_profile(inv, class_group))
+def cohomology_profile(inv: QuadraticFieldInvariants) -> CohomologyProfile:
+    return _profile_from_compact(compact_support_profile(inv))
 
 
-def psi_complex(inv: QuadraticFieldInvariants,
-                class_group: Optional[FgAbGroup] = None):
+def psi_complex(inv: QuadraticFieldInvariants):
     """The realified compact-support profile with the log-absolute-value
     pairing as its only nonzero map.
 
@@ -139,7 +131,7 @@ def psi_complex(inv: QuadraticFieldInvariants,
     matrix entry for (unit j, place v) is log of the absolute value of the
     unit at that place.  Returns (BasedRealComplex, GradedGroupComplex).
     """
-    groups = compact_support_profile(inv, class_group)
+    groups = compact_support_profile(inv)
     r = inv.unit_rank
     if r == 0:
         middle = np.zeros((0, 0))
@@ -153,16 +145,16 @@ def psi_complex(inv: QuadraticFieldInvariants,
     return graded.realified(), graded
 
 
-def verify_field(d, tol: float = 1e-9,
-                 class_group: Optional[FgAbGroup] = None) -> VerificationReport:
+def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     """Build the profile for one field, compute its Euler characteristic,
     and compare with the analytic oracle.  Absolute values only: the sign
     of the identity is not asserted."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be positive and finite")
+    if not 0 < tol < 1:  # also rejects nan; at tol >= 1 even chi = 0 passes
+        raise ValueError(f"tolerance must be positive and finite, below 1, "
+                         f"got {tol!r}")
     t0 = time.perf_counter()
     inv = field_invariants(d)
-    based, graded = psi_complex(inv, class_group)
+    based, graded = psi_complex(inv)
     # the psi-complex is built on the compact profile; reuse its groups
     profile = _profile_from_compact(graded.groups)
     try:

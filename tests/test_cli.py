@@ -23,8 +23,9 @@ from zetachi.weil_cohomology import verify_field
 def test_config_validate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         RunConfig(targets=[6]).validate()
-    with pytest.raises(ValueError):
-        RunConfig(targets=[5], tolerance=0).validate()
+    for tol in (0, 1.0, 1e300):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RunConfig(targets=[5], tolerance=tol).validate()
     with pytest.raises(ValueError):
         RunConfig(range_bound=2).validate()
     with pytest.raises(ValueError):
@@ -143,6 +144,54 @@ def test_json_write_failure_keeps_earlier_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["reports.json"]
 
 
+@pytest.mark.parametrize("make_path, message", [
+    (lambda tmp: tmp / "missing" / "out.json", "is not an existing directory"),
+    (lambda tmp: tmp, "is a directory"),
+])
+def test_main_rejects_unwritable_json_path_before_verifying(
+        capsys, monkeypatch, tmp_path, make_path, message):
+    verified = []
+    real = cli.verify_field
+    monkeypatch.setattr(cli, "verify_field",
+                        lambda d, tol: verified.append(d) or real(d, tol))
+    with pytest.raises(SystemExit) as exc:
+        main(["--range", "300", "--json", str(make_path(tmp_path))])
+    assert exc.value.code == USAGE_ERROR
+    assert message in capsys.readouterr().err
+    assert verified == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 4, 64])
+@pytest.mark.parametrize("jobs", [3, 100000])
+def test_pool_never_larger_than_fields_or_cores(monkeypatch, cpus, jobs):
+    # a stand-in pool that records its size and maps in-process: a real
+    # pool forks all of its workers at once
+    created = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            assert chunksize >= 1
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    status, reports = run(RunConfig(range_bound=10, jobs=jobs), io.StringIO())
+    assert status == 0 and len(reports) == 6
+    workers = min(jobs, len(reports), cpus or 1)
+    # one worker takes the serial path and starts no pool
+    assert created == ([workers] if workers > 1 else [])
+
+
 def test_parser_accepts_q_and_integers():
     args = build_parser().parse_args(["--field", "Q", "--field", "-4"])
     assert args.field == [RATIONAL_FIELD, -4]
@@ -191,6 +240,8 @@ def test_python_dash_m_entry_point():
     (["--tol", "0"], "tolerance must be positive and finite"),
     (["--tol", "-1"], "tolerance must be positive and finite"),
     (["--jobs", "0"], "jobs must be at least 1"),
+    (["--tol", "1"], "tolerance must be positive and finite"),
+    (["--tol", "1e300"], "tolerance must be positive and finite"),
 ])
 def test_main_rejects_bad_tol_and_jobs(capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
