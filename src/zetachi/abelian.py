@@ -180,15 +180,20 @@ def _axpy(r, q, s):
 
 
 def _pivot_sparse(rows):
-    """(row, column) of an entry of least absolute value; the first unit."""
+    """(row, column) of the first unit in row order, else of the first entry
+    of least absolute value; within a row, entries go in stored order."""
+    for i, r in enumerate(rows):
+        vals = r.values()
+        if 1 in vals or -1 in vals:  # a C-level scan finds the row
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    return i, j
     best = at = None
     for i, r in enumerate(rows):
         for j, v in r.items():
             a = v if v > 0 else -v
             if best is None or a < best:
                 best, at = a, (i, j)
-                if a == 1:
-                    return at
     return at
 
 
@@ -203,6 +208,15 @@ def _divisibility_chain(diag):
     return (1,) * ones + tuple(d)
 
 
+def _transposed_rows(M):
+    """Nonzero rows of M's transpose as fresh dicts, keys ascending."""
+    cols = [{} for _ in range(M.cols)]
+    for i, r in enumerate(M.nonzeros):
+        for j, v in r.items():
+            cols[j][i] = v
+    return [c for c in cols if c]
+
+
 def _snf_diagonal(M: IntMatrix) -> tuple:
     """Nonzero Smith diagonal d_1 | d_2 | ... | d_r of M, where r = rank M.
 
@@ -211,8 +225,15 @@ def _snf_diagonal(M: IntMatrix) -> tuple:
     that column is clear, column operations change the pivot row alone, so
     the row is reduced mod the pivot and Euclid goes on with the least
     remainder.  The diagonal this leaves is put into divisibility order.
+
+    M and its transpose have the same Smith diagonal, so a tall M is
+    eliminated along its short side, as the rows of its transpose: fewer
+    rows to scan for each pivot column.
     """
-    rows = [r.copy() for r in M.nonzeros if r]
+    if M.rows > M.cols:
+        rows = _transposed_rows(M)
+    else:
+        rows = [r.copy() for r in M.nonzeros if r]
     diag = []
     while rows:
         i, j = _pivot_sparse(rows)

@@ -43,6 +43,8 @@ class RunConfig:
             raise ValueError("range bound must be at least 3")
         if self.json_path is not None:
             # checked now, not after the sweep that it would end
+            if not self.json_path:
+                raise ValueError("the JSON path is empty")
             if os.path.isdir(self.json_path):
                 raise ValueError(f"{self.json_path} is a directory")
             parent = os.path.dirname(self.json_path) or os.curdir
@@ -208,7 +210,7 @@ def run(config: RunConfig, out=None):
     if config.show_profile:
         for r in reports:
             _print_profile(r, out)
-    if config.json_path:
+    if config.json_path is not None:
         _write_json(config.json_path, reports)
     n_pass = sum(r.passed for r in reports)
     n_fail = len(reports) - n_pass

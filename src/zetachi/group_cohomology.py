@@ -7,6 +7,7 @@ coordinate) and the usual inhomogeneous complex as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,6 +45,11 @@ class FiniteGroup:
     """Finite group given by its multiplication table of element indices."""
 
     table: tuple  # table[g][h] = g * h
+
+    def __post_init__(self):
+        # tuples whatever the caller passed: a group is hashable, so its
+        # validation can be remembered
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
 
     @property
     def order(self):
@@ -121,6 +127,10 @@ class GModuleAction:
     rank: int
     matrices: tuple  # one rank x rank tuple-of-tuples per group element
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrices",
+                           tuple(tuple(map(tuple, M)) for M in self.matrices))
+
     def matrix(self, g):
         return self.matrices[g]
 
@@ -163,13 +173,6 @@ def trivial_action(G: FiniteGroup, rank=1):
     return GModuleAction(rank, tuple(_identity_rows(rank) for _ in range(G.order)))
 
 
-def _tuple_index(n, tup):
-    i = 0
-    for g in tup:
-        i = i * n + g
-    return i
-
-
 def _check_budget(G, A, p_max):
     for p in range(p_max + 1):
         if G.order ** p * A.rank > TERM_BUDGET:
@@ -179,72 +182,83 @@ def _check_budget(G, A, p_max):
             )
 
 
+@functools.lru_cache(maxsize=32)
 def _validate_inputs(G, A):
+    """Check the group and the action.  Both are frozen and hashable, so
+    each distinct pair is checked once; a failing pair is not cached and
+    raises again."""
     G.validate()
     A.validate(G)
 
 
-def _build_complex(G, A, p_max, blocks):
+def _build_complex(G, A, p_max, tables):
     """Coboundaries in degrees 0..p_max written straight as sparse rows.
 
-    `blocks(G, A, p)`, called once the inputs are valid, returns `block`;
-    for a (p+1)-tuple H at index k of the basis, `block(H, k)` gives the
-    action matrix, the column base it acts at, and (column base, sign) for
-    each face that maps a module coordinate to itself.  Row a of H's block
-    sums these, zeros dropped, keys in ascending column order (the engine's
-    pivot order follows it).
+    `tables(G, r)`, started once the inputs are valid, yields for degree
+    p = 0, 1, ... the lists (bases, signs, faces) over the basis index k of
+    the (p+1)-tuples H: H's leading element acts at column base `bases[k]`,
+    and face i maps each module coordinate to itself from column base
+    `faces[i][k]`, with sign `signs[i]`.  Row a of H's block sums these,
+    zeros dropped, keys in ascending column order (the engine's pivot order
+    follows it).
     """
     _validate_inputs(G, A)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    _check_budget(G, A, p_max + 1)
+    _check_budget(G, A, p_max)
     n, r = G.order, A.rank
     dims = tuple(n ** p * r for p in range(p_max + 1))
+    # row a of element g's matrix as (column offset, value), zeros dropped
+    entries = [[[(b, v) for b, v in enumerate(row) if v] for row in A.matrix(g)]
+               for g in range(n)]
     boundaries = []
-    for p in range(p_max):
-        block = blocks(G, A, p)
+    for p, (bases, signs, faces) in zip(range(p_max), tables(G, r)):
+        N = n ** p  # H's leading element is k // N
         D = []
-        for k, H in enumerate(itertools.product(range(n), repeat=p + 1)):
-            act, base, faces = block(H, k)
-            for a in range(r):
-                acc = {base + b: v for b, v in enumerate(act[a]) if v}
-                for col, sign in faces:
+        for k, (base, cols) in enumerate(zip(bases, zip(*faces))):
+            for a, act in enumerate(entries[k // N]):
+                acc = {base + b: v for b, v in act}
+                for col, sign in zip(cols, signs):
                     acc[col + a] = acc.get(col + a, 0) + sign
                 D.append({c: acc[c] for c in sorted(acc) if acc[c]})
         boundaries.append(IntMatrix(dims[p + 1], dims[p], tuple(D)))
     return CochainComplex(dims, tuple(boundaries))
 
 
-def _homogeneous_blocks(G, A, p):
-    n, r, table = G.order, A.rank, G.table
+def _homogeneous_tables(G, r):
+    n, table = G.order, G.table
     inverse = [G.inv(g) for g in range(n)]
-    # omitting entry i of the tuple with index k keeps the digits after it
-    # (k % w) and moves those before it (k // above) down one place
-    omit = [(n ** (p - i), n ** (p - i + 1), 1 if i % 2 else -1)
-            for i in range(p + 1)]
+    # pulled[g][t]: index of the tuple with index t after left
+    # multiplication of each entry by g; one digit longer each degree
+    pulled = [[0]] * n
+    for p in itertools.count():
+        N = n ** p
+        # H = (h, t) pulls back through h^-1 to (identity, h^-1 t)
+        bases = [pulled[inverse[h]][t] * r for h in range(n) for t in range(N)]
+        # omitting entry i of the tuple with index k keeps the digits after
+        # it (k % w) and moves those before it (k // w n) down one place
+        signs = [1 if i % 2 else -1 for i in range(p + 1)]
+        faces = [[(k // (w * n) * w + k % w) * r for k in range(n * N)]
+                 for w in (n ** (p - i) for i in range(p + 1))]
+        yield bases, signs, faces
+        pulled = [[t * n + row[d] for t in prev for d in range(n)]
+                  for prev, row in zip(pulled, table)]
 
-    def block(H, k):
-        by_h1inv = table[inverse[H[0]]]  # left multiplication by h1^-1
-        return (A.matrix(H[0]),
-                _tuple_index(n, [by_h1inv[h] for h in H[1:]]) * r,
-                [((k // above * w + k % w) * r, sign) for w, above, sign in omit])
-    return block
 
-
-def _inhomogeneous_blocks(G, A, p):
-    n, r, table = G.order, A.rank, G.table
-    # merging entries i-1 and i into their product keeps the digits after
-    # them (k % w) and moves those before them (k // above) down one place
-    merge = [(i, n ** (p - i), n ** (p - i + 2), -1 if i % 2 else 1)
-             for i in range(1, p + 1)]
-    last, tail = -1 if (p + 1) % 2 else 1, n ** p
-
-    def block(H, k):
-        faces = [(((k // above * n + table[H[i - 1]][H[i]]) * w + k % w) * r, sign)
-                 for i, w, above, sign in merge]
-        faces.append((k // n * r, last))
-        return A.matrix(H[0]), k % tail * r, faces
-    return block
+def _inhomogeneous_tables(G, r):
+    n, table = G.order, G.table
+    for p in itertools.count():
+        N = n ** p
+        bases = [t * r for t in range(N)] * n
+        # merging entries i-1 and i (digits k // w n and k // w) into their
+        # product keeps the digits after them (k % w) and moves those before
+        # them (k // w n n) down one place; the last face drops entry p
+        signs = [-1 if i % 2 else 1 for i in range(1, p + 2)]
+        faces = [[((k // (w * n * n) * n + table[k // (w * n) % n][k // w % n])
+                   * w + k % w) * r for k in range(n * N)]
+                 for w in (n ** (p - i) for i in range(1, p + 1))]
+        faces.append([k // n * r for k in range(n * N)])
+        yield bases, signs, faces
 
 
 def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction,
@@ -257,13 +271,13 @@ def build_homogeneous_complex(G: FiniteGroup, A: GModuleAction,
     the module.  The coboundary alternately omits each tuple entry, with the
     omitted-first term pulled back to a normalized tuple through the action.
     """
-    return _build_complex(G, A, p_max, _homogeneous_blocks)
+    return _build_complex(G, A, p_max, _homogeneous_tables)
 
 
 def build_inhomogeneous_complex(G: FiniteGroup, A: GModuleAction,
                                 p_max: int) -> CochainComplex:
     """Inhomogeneous cochain complex in degrees 0..p_max (cross-check route)."""
-    return _build_complex(G, A, p_max, _inhomogeneous_blocks)
+    return _build_complex(G, A, p_max, _inhomogeneous_tables)
 
 
 def group_cohomology_q(G: FiniteGroup, A: GModuleAction, q: int,

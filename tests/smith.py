@@ -1,5 +1,20 @@
 """Smith normal form with unimodular transforms, the reference that the
-transform-free `_snf_diagonal` of `zetachi.abelian` is tested against."""
+transform-free `_snf_diagonal` of `zetachi.abelian` is tested against, and
+the per-entry pivot rule that its `_pivot_sparse` must agree with."""
+
+
+def pivot_per_entry(rows):
+    """(row, column) of an entry of least absolute value, visiting every
+    entry in row order and stored order; the first unit ends the search."""
+    best = at = None
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            a = v if v > 0 else -v
+            if best is None or a < best:
+                best, at = a, (i, j)
+                if a == 1:
+                    return at
+    return at
 
 
 def _pivot(A, t, m, n):

@@ -11,6 +11,7 @@ from zetachi.abelian import (
     MalformedComplexError,
     group_from_presentation,
     complex_cohomology,
+    _pivot_sparse,
     _snf_diagonal,
 )
 from zetachi.group_cohomology import cyclic_group, trivial_action, \
@@ -18,7 +19,7 @@ from zetachi.group_cohomology import cyclic_group, trivial_action, \
 
 from bareiss import integer_determinant
 from conftest import random_unimodular
-from smith import diagonal, smith_normal_form
+from smith import diagonal, pivot_per_entry, smith_normal_form
 
 
 def snf_invariants(M):
@@ -147,6 +148,56 @@ def test_invariant_factors_are_determinantal_divisors(M):
         assert gcd_of_minors(M, k) == expect
 
 
+def transpose(M):
+    return IntMatrix(M.cols, M.rows, tuple(
+        {i: r[j] for i, r in enumerate(M.nonzeros) if j in r}
+        for j in range(M.cols)))
+
+
+# entries small enough to meet units and remainders, or beyond int64
+entries = st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+# tall, wide and square shapes, empty ones included
+shaped_matrix = st.sampled_from(
+    [(7, 3), (5, 1), (3, 0), (3, 7), (1, 5), (0, 3), (4, 4)]).flatmap(
+    lambda shape: st.lists(st.lists(entries, min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])
+    .map(lambda rows: IntMatrix.from_rows(rows, shape[1])))
+
+
+@given(shaped_matrix)
+@settings(max_examples=150, deadline=None)
+def test_snf_diagonal_equals_transpose_and_reference(M):
+    # a tall matrix is eliminated as its transpose, a wide one as stored
+    T = transpose(M)
+    assert T.to_rows() == [list(c) for c in zip(*M.to_rows())] or not M.rows
+    expect = tuple(d for d in diagonal(smith_normal_form(M)[1]) if d)
+    assert _snf_diagonal(M) == _snf_diagonal(T) == expect
+
+
+# sparse rows as the engine holds them: keys in any order, values nonzero
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, 9),
+                    st.integers(-5, 5).filter(bool) | st.integers(-2**70, 2**70)
+                    .filter(bool), max_size=6)
+    .flatmap(lambda r: st.permutations(list(r.items())).map(dict)),
+    max_size=8)
+
+
+@given(sparse_rows)
+@settings(max_examples=300, deadline=None)
+def test_pivot_matches_per_entry_rule(rows):
+    assert _pivot_sparse(rows) == pivot_per_entry(rows)
+
+
+def test_pivot_takes_first_unit_in_stored_order():
+    rows = [{3: 4, 0: -2}, {5: 7, 2: -1, 1: 1}, {0: 1}]
+    assert _pivot_sparse(rows) == pivot_per_entry(rows) == (1, 2)
+    rows = [{3: 4, 0: -2}, {5: 2, 1: -3}]
+    assert _pivot_sparse(rows) == pivot_per_entry(rows) == (0, 0)
+    assert _pivot_sparse([]) is None
+
+
 def test_diagonal_normalised_to_divisibility_chain():
     diag = lambda a, b: IntMatrix.from_rows([[a, 0], [0, b]])
     assert _snf_diagonal(diag(4, 6)) == (2, 12)
@@ -225,14 +276,18 @@ def test_cohomology_bar_complex_z2():
 
 
 def test_cohomology_leaves_stored_rows_unchanged():
-    # the engine eliminates on copies; a second call sees the same complex
+    # the engine eliminates on copies, of the rows or, for these tall
+    # coboundaries, of the transpose; a second call sees the same complex
     G = cyclic_group(4)
     C = build_homogeneous_complex(G, trivial_action(G), 4)
+    assert all(b.rows > b.cols for b in C.boundaries[1:])
+    stored = [[list(r.items()) for r in b.nonzeros] for b in C.boundaries]
     before = [b.to_rows() for b in C.boundaries]
     first = [complex_cohomology(C, q) for q in range(len(C.dims))]
     assert [b.to_rows() for b in C.boundaries] == before
     assert [complex_cohomology(C, q) for q in range(len(C.dims))] == first
     assert [b.to_rows() for b in C.boundaries] == before
+    assert [[list(r.items()) for r in b.nonzeros] for b in C.boundaries] == stored
 
 
 def test_cohomology_rejects_bad_composition():

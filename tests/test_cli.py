@@ -162,6 +162,21 @@ def test_main_rejects_unwritable_json_path_before_verifying(
     assert os.listdir(tmp_path) == []
 
 
+def test_main_rejects_empty_json_path_before_verifying(
+        capsys, monkeypatch, tmp_path):
+    # an empty path once turned the table off and wrote nothing, exit 0
+    verified = []
+    monkeypatch.setattr(cli, "verify_field",
+                        lambda d, tol: verified.append(d))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--field", "5", "--json", ""])
+    assert exc.value.code == USAGE_ERROR
+    assert "the JSON path is empty" in capsys.readouterr().err
+    assert verified == []
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("cpus", [None, 1, 2, 4, 64])
 @pytest.mark.parametrize("jobs", [3, 100000])
 def test_pool_never_larger_than_fields_or_cores(monkeypatch, cpus, jobs):

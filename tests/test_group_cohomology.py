@@ -13,7 +13,11 @@ from zetachi.group_cohomology import (
     build_homogeneous_complex,
     build_inhomogeneous_complex,
     group_cohomology_q,
+    TERM_BUDGET,
+    _check_budget,
 )
+
+from cochains import homogeneous_blocks, inhomogeneous_blocks, reference_rows
 
 
 def test_trivial_group_complex_shape():
@@ -132,6 +136,18 @@ def test_builder_rows_are_nonzero_in_ascending_columns(G, A):
         C.validate_composition()
 
 
+@pytest.mark.parametrize("G,A", builder_cases())
+def test_builder_rows_equal_block_reference(G, A):
+    # the table-driven builders store exactly the reference's rows, dict
+    # key order included, since the engine's pivot order follows it
+    for build, blocks in ((build_homogeneous_complex, homogeneous_blocks),
+                          (build_inhomogeneous_complex, inhomogeneous_blocks)):
+        C = build(G, A, 4)
+        expect = reference_rows(G, A, 4, blocks)
+        assert [[list(r.items()) for r in b.nonzeros] for b in C.boundaries] \
+            == [[list(r.items()) for r in D] for D in expect], build
+
+
 def test_cyclic_pattern():
     for n in (2, 3, 4):
         G = cyclic_group(n)
@@ -161,6 +177,30 @@ def test_invalid_group_table_rejected():
         build_homogeneous_complex(bad, trivial_action(cyclic_group(2)), 2)
 
 
+def test_invalid_inputs_rejected_on_every_call():
+    # validation is remembered per valid (group, action) pair only
+    bad = FiniteGroup(((0, 1), (1, 1)))
+    G = cyclic_group(2)
+    doubling = GModuleAction(1, (((1,),), ((2,),)))  # 2 is not a unit
+    as_lists = FiniteGroup([[0, 1], [1, 1]])
+    for _ in range(3):
+        for group in (bad, as_lists):
+            with pytest.raises(GroupValidationError):
+                build_homogeneous_complex(group, trivial_action(G), 2)
+        with pytest.raises(GroupValidationError, match="invertible over Z"):
+            build_inhomogeneous_complex(G, doubling, 2)
+
+
+def test_list_inputs_are_stored_as_tuples():
+    # the validation cache needs hashable inputs, whatever the caller passed
+    G = cyclic_group(2)
+    listed = FiniteGroup([list(row) for row in G.table])
+    A = GModuleAction(1, [[[1]], [[-1]]])
+    assert listed == G and hash(listed) == hash(G)
+    assert A == GModuleAction(1, (((1,),), ((-1,),)))
+    assert group_cohomology_q(listed, A, 1) == FgAbGroup.cyclic(2)
+
+
 def test_action_must_be_unimodular():
     # C2 acting on Z^2; the generator's matrix must be invertible over Z
     G = cyclic_group(2)
@@ -175,6 +215,20 @@ def test_budget_is_enforced():
     G = cyclic_group(6)
     with pytest.raises(BudgetExceededError):
         build_homogeneous_complex(G, trivial_action(G), 6)
+
+
+def test_budget_covers_degrees_up_to_p_max():
+    # 5^4 * 32 is exactly the budget: a degree-4 term of that rank passes
+    G = cyclic_group(5)
+    assert 5 ** 4 * 32 == TERM_BUDGET
+    _check_budget(G, trivial_action(G, 32), 4)
+    with pytest.raises(BudgetExceededError, match="degree-4 term has rank 20625"):
+        _check_budget(G, trivial_action(G, 33), 4)
+    with pytest.raises(BudgetExceededError, match="degree-5 term"):
+        _check_budget(G, trivial_action(G, 32), 5)
+    # the largest term of C6 up to degree 5 has 7 776 rows
+    C6 = cyclic_group(6)
+    _check_budget(C6, trivial_action(C6), 5)
 
 
 def test_p_max_precondition():
