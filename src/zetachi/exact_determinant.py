@@ -11,15 +11,16 @@ of V_i, and the determinant of the complex is its torsion (Milnor,
 
 with i the index of V_i in the complex as given.  Replacing b_i by b_i M
 scales the factors at V_i and V_{i+1} by det M, once up and once down, so
-the value does not depend on the lifts.  Here b_i are the first r_i right
-singular vectors of T_i, and the same SVD gives r_i.
+the value does not depend on the lifts.  Here b_i are the standard vectors
+e_J of the r_i pivot columns J of a complete-pivoting elimination of T_i,
+and the same elimination gives r_i.
 
 A zero space contributes the empty determinant 1 and costs no linear
 algebra; a leading one still shifts the parity of the spaces after it, so
 (0, V, W) has the inverse determinant of (V, W).  The realified profile
 (0, R, R, 0) of a real quadratic field, with the regulator as its map, thus
-costs one SVD and two 1 x 1 determinants and gives 1/R; the all-zero
-profile of Q or an imaginary field costs nothing.
+costs one 1 x 1 elimination and two 1 x 1 determinants and gives 1/R; the
+all-zero profile of Q or an imaginary field costs nothing.
 
 The Euler characteristic of a graded complex of finitely generated abelian
 groups is the alternating product of torsion orders divided by this
@@ -32,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 __all__ = [
     "BasedRealComplex",
     "GradedGroupComplex",
@@ -44,7 +43,7 @@ __all__ = [
     "torsion_alternating_product",
 ]
 
-RANK_TOL = 1e-10  # relative cutoff for singular values and for d o d = 0
+RANK_TOL = 1e-10  # relative cutoff for pivots and for d o d = 0
 
 
 class ExactnessError(ValueError):
@@ -52,10 +51,14 @@ class ExactnessError(ValueError):
 
 
 def _as_maps(dims, maps):
+    """Each map as a tuple of float row tuples, T_i of shape dims[i + 1] x
+    dims[i]; any nested rows, numpy arrays included, are accepted."""
     out = []
     for i, T in enumerate(maps):
-        T = np.asarray(T, dtype=float).reshape(dims[i + 1], dims[i])
-        out.append(T)
+        rows = tuple(tuple(float(x) for x in row) for row in T)
+        if len(rows) != dims[i + 1] or any(len(row) != dims[i] for row in rows):
+            raise ValueError(f"map {i} must be {dims[i + 1]} x {dims[i]}")
+        out.append(rows)
     return tuple(out)
 
 
@@ -68,9 +71,9 @@ class BasedRealComplex:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "maps", _as_maps(self.dims, self.maps))
         if len(self.maps) != max(len(self.dims) - 1, 0):
             raise ValueError("need exactly len(dims) - 1 maps")
+        object.__setattr__(self, "maps", _as_maps(self.dims, self.maps))
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,51 @@ class GradedGroupComplex:
         """The based real complex, built on the first call and then reused."""
         return self._realified
 
+    @cached_property
+    def torsion_product(self) -> Fraction:
+        """prod |torsion(A_i)| ^ (-1)^i, computed on the first read."""
+        return torsion_alternating_product(self.groups)
+
+
+def _max_abs(T):
+    return max(abs(x) for row in T for x in row)
+
+
+def _times(T, v):
+    """The matrix T, given by its rows, times the vector v."""
+    return tuple(sum(t * x for t, x in zip(row, v)) for row in T)
+
 
 def _lifts(T):
-    """Rank r of T and its first r right singular vectors, as columns: T
-    maps them onto a basis of its image."""
-    if T.size == 0:
-        return 0, np.zeros((T.shape[1], 0))
-    _, sv, Vt = np.linalg.svd(T, full_matrices=False)
-    r = int(np.count_nonzero(sv > RANK_TOL * sv[0]))  # 0 when sv[0] is 0
-    return r, Vt[:r].T
+    """Rank r of a nonempty T and the r pivot columns J of its elimination
+    with complete pivoting: T maps e_J onto a basis of its image.  A pivot
+    counts when it exceeds RANK_TOL times max |t_ij|."""
+    A = [list(row) for row in T]
+    cutoff = RANK_TOL * _max_abs(A)
+    rows, cols = list(range(len(A))), list(range(len(A[0])))
+    pivots = []
+    while rows and cols:
+        v, i, j = max((abs(A[i][j]), i, j) for i in rows for j in cols)
+        if not v > cutoff:  # also stops on an all-zero T, where cutoff is 0
+            break
+        pivots.append(j)
+        rows.remove(i)
+        cols.remove(j)
+        Ai = A[i]
+        for k in rows:
+            f = A[k][j] / Ai[j]
+            if f:
+                Ak = A[k]
+                for c in cols:
+                    Ak[c] -= f * Ai[c]
+    return len(pivots), tuple(pivots)
+
+
+def _split(C):
+    """(rank, pivot columns) of each map; a map from or to a zero space has
+    rank 0 and costs no elimination."""
+    return [_lifts(T) if C.dims[i] and C.dims[i + 1] else (0, ())
+            for i, T in enumerate(C.maps)]
 
 
 def _is_exact(C, ranks):
@@ -107,25 +146,51 @@ def _is_exact(C, ranks):
     if any(r[i] + r[i + 1] != d for i, d in enumerate(C.dims)):
         return False
     for i in range(len(C.maps) - 1):
-        A, B = C.maps[i], C.maps[i + 1]
-        if A.size and B.size:
-            scale = max(np.abs(B).max(), 1.0) * max(np.abs(A).max(), 1.0)
-            if np.abs(B @ A).max() > RANK_TOL * scale * C.dims[i + 1]:
+        if C.dims[i] and C.dims[i + 1] and C.dims[i + 2]:
+            A, B = C.maps[i], C.maps[i + 1]
+            scale = max(_max_abs(B), 1.0) * max(_max_abs(A), 1.0)
+            worst = max(abs(y) for col in zip(*A) for y in _times(B, col))
+            if worst > RANK_TOL * scale * C.dims[i + 1]:
                 return False
     return True
 
 
 def check_exact(C: BasedRealComplex) -> bool:
-    """True iff the based complex is exact (ranks from singular values)."""
-    return _is_exact(C, [_lifts(T)[0] for T in C.maps])
+    """True iff the based complex is exact (ranks from complete pivoting)."""
+    return _is_exact(C, [r for r, _ in _split(C)])
+
+
+def _det(rows):
+    """Determinant of a square matrix by LU with partial pivoting."""
+    A = [list(row) for row in rows]
+    n = len(A)
+    det = 1.0
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        if A[p][k] == 0.0:
+            return 0.0
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            det = -det
+        Ak = A[k]
+        det *= Ak[k]
+        for i in range(k + 1, n):
+            f = A[i][k] / Ak[k]
+            if f:
+                Ai = A[i]
+                for j in range(k + 1, n):
+                    Ai[j] -= f * Ak[j]
+    return det
 
 
 def _mixed(b, rng):
-    """b times a random invertible matrix."""
+    """The columns b times a random invertible matrix drawn from `rng`."""
+    r = len(b)
     while True:
-        M = rng.uniform(-1.0, 1.0, size=(b.shape[1], b.shape[1]))
-        if abs(np.linalg.det(M)) > 1e-3:
-            return b @ M
+        M = [[rng.uniform(-1.0, 1.0) for _ in range(r)] for _ in range(r)]
+        if abs(_det(M)) > 1e-3:
+            rows = tuple(zip(*b))  # b as a matrix
+            return [_times(rows, col) for col in zip(*M)]
 
 
 def determinant_exact(C: BasedRealComplex, rng=None) -> float:
@@ -134,22 +199,29 @@ def determinant_exact(C: BasedRealComplex, rng=None) -> float:
     `rng`, when given, mixes each basis of lifts by a random invertible
     matrix; the result does not depend on that choice.
     """
-    split = [_lifts(T) for T in C.maps]
+    if not any(C.dims):
+        return 1.0  # every space is zero: the empty product
+    split = _split(C)
     if not _is_exact(C, [r for r, _ in split]):
         raise ExactnessError("complex is not exact")
-    lifts = [b if rng is None else _mixed(b, rng) for _, b in split]
+    lifts = []
+    for d, (_, pivots) in zip(C.dims, split):
+        b = [tuple(float(x == j) for x in range(d)) for j in pivots]
+        lifts.append(b if rng is None else _mixed(b, rng))
     delta = 1.0
     for i, d in enumerate(C.dims):
         if d == 0:
             continue
         cols = []
         if i > 0:
-            cols.append(C.maps[i - 1] @ lifts[i - 1])
+            cols += [_times(C.maps[i - 1], b) for b in lifts[i - 1]]
         if i < len(lifts):
-            cols.append(lifts[i])
-        factor = np.linalg.det(np.concatenate(cols, axis=1))
+            cols += lifts[i]
+        factor = _det(cols)  # of the transpose, which is the same
+        if factor == 0.0:
+            raise ExactnessError(f"the basis at V_{i} is singular")
         delta = delta * factor if i % 2 else delta / factor
-    return float(delta)
+    return delta
 
 
 def torsion_alternating_product(groups) -> Fraction:
@@ -168,4 +240,4 @@ def euler_characteristic(G: GradedGroupComplex) -> float:
     realified based complex.  Only the absolute value is canonical; the
     sign reflects the standard-basis choice."""
     delta = determinant_exact(G.realified())
-    return float(torsion_alternating_product(G.groups)) / delta
+    return float(G.torsion_product) / delta

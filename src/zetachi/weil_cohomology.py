@@ -15,14 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .abelian import FgAbGroup
 from .exact_determinant import (
     ExactnessError,
     GradedGroupComplex,
     euler_characteristic,
-    torsion_alternating_product,
 )
 from .number_field import (
     RATIONAL_FIELD,
@@ -133,14 +130,10 @@ def psi_complex(inv: QuadraticFieldInvariants):
     """
     groups = compact_support_profile(inv)
     r = inv.unit_rank
-    if r == 0:
-        middle = np.zeros((0, 0))
-    else:
-        # Quadratic real case: one fundamental unit, first real place kept.
-        # The unit exceeds 1 in that embedding, so the entry is the regulator.
-        middle = np.array([[inv.regulator]])
-    graded = GradedGroupComplex(tuple(groups), (np.zeros((r, 0)), middle,
-                                                np.zeros((0, r))))
+    # Quadratic real case: one fundamental unit, first real place kept.
+    # The unit exceeds 1 in that embedding, so the entry is the regulator.
+    middle = ((inv.regulator,),) if r else ()
+    graded = GradedGroupComplex(tuple(groups), (((),) * r, middle, ()))
     # built once: `euler_characteristic(graded)` reuses this realification
     return graded.realified(), graded
 
@@ -165,7 +158,7 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
         ) from exc
     chi_exact = None
     if inv.unit_rank == 0:
-        chi_exact = torsion_alternating_product(graded.groups)
+        chi_exact = graded.torsion_product
     hrw = inv.h * inv.regulator / inv.w
     if abs(abs(chi) - hrw) > _INTERNAL_TOL * hrw:
         raise InternalIdentityError(

@@ -249,6 +249,24 @@ def test_python_dash_m_entry_point():
     assert "is not a fundamental discriminant" in bad.stderr
 
 
+def test_product_path_imports_neither_numpy_nor_mpmath():
+    # a fresh process that imports zetachi and verifies a real and an
+    # imaginary field never loads numpy or mpmath; a later numpy route must
+    # import numpy inside its own branch
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys, zetachi\n"
+        "heavy = ('numpy', 'mpmath')\n"
+        "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+        "assert zetachi.cli.main(['--field', '5', '--field', '-23']) == 0\n"
+        "assert not [m for m in heavy if m in sys.modules], 'run'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "2 passed, 0 failed" in done.stdout
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--tol", "inf"], "tolerance must be positive and finite"),
     (["--tol", "nan"], "tolerance must be positive and finite"),

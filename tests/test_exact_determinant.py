@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import zetachi.exact_determinant as ed
 from zetachi.abelian import FgAbGroup
 from zetachi.exact_determinant import (
     BasedRealComplex,
@@ -152,15 +153,15 @@ def pad(dims, maps, lead, trail):
 def test_zero_end_padding(rng, monkeypatch, lead, trail):
     # a zero space is exact and costs no linear algebra; each leading one
     # inverts the determinant
-    svd = mock.Mock(wraps=np.linalg.svd)
-    lstsq = mock.Mock(wraps=np.linalg.lstsq)
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    lifts = mock.Mock(wraps=ed._lifts)
+    det = mock.Mock(wraps=ed._det)
+    monkeypatch.setattr(ed, "_lifts", lifts)
+    monkeypatch.setattr(ed, "_det", det)
 
     def det_and_cost(C):
-        svd.reset_mock()
-        lstsq.reset_mock()
-        return determinant_exact(C), (svd.call_count, lstsq.call_count)
+        lifts.reset_mock()
+        det.reset_mock()
+        return determinant_exact(C), (lifts.call_count, det.call_count)
 
     for ranks in [(1,), (2,), (2, 1), (1, 3, 2), (2, 1, 2, 1)]:
         dims, maps = random_exact_complex(rng, ranks)
@@ -203,8 +204,8 @@ def test_euler_characteristic_zero_complex_skips_linear_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("linear algebra on an all-zero complex")
 
-    monkeypatch.setattr(np.linalg, "svd", refuse)
-    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(ed, "_lifts", refuse)
+    monkeypatch.setattr(ed, "_det", refuse)
     groups = (FgAbGroup.trivial(), FgAbGroup.trivial(),
               FgAbGroup.cyclic(6), FgAbGroup.cyclic(4))
     G = GradedGroupComplex(groups, (np.zeros((0, 0)),) * 3)
@@ -213,21 +214,19 @@ def test_euler_characteristic_zero_complex_skips_linear_algebra(monkeypatch):
 
 def test_euler_characteristic_real_field_shape_call_counts(monkeypatch):
     # (0, Z, Z + Z/3, Z/2) with the regulator as the middle map [0.75]: one
-    # SVD for its rank and lift, no least squares, and one 1 x 1 determinant
-    # at each of the two nonzero spaces
-    svd = mock.Mock(wraps=np.linalg.svd)
-    lstsq = mock.Mock(wraps=np.linalg.lstsq)
-    det = mock.Mock(wraps=np.linalg.det)
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    monkeypatch.setattr(np.linalg, "det", det)
+    # 1 x 1 elimination for its rank and lift, and one 1 x 1 determinant at
+    # each of the two nonzero spaces
+    lifts = mock.Mock(wraps=ed._lifts)
+    det = mock.Mock(wraps=ed._det)
+    monkeypatch.setattr(ed, "_lifts", lifts)
+    monkeypatch.setattr(ed, "_det", det)
     groups = (FgAbGroup.trivial(), FgAbGroup.free(1),
               FgAbGroup(1, (3,)), FgAbGroup.cyclic(2))
     maps = (np.zeros((1, 0)), np.array([[0.75]]), np.zeros((0, 1)))
     chi = euler_characteristic(GradedGroupComplex(groups, maps))
     assert abs(chi) == pytest.approx(3 * 0.75 / 2, rel=1e-15)
-    assert (svd.call_count, lstsq.call_count) == (1, 0)
-    assert det.call_count == 2
+    assert [c.args[0] for c in lifts.call_args_list] == [((0.75,),)]
+    assert [c.args[0] for c in det.call_args_list] == [[(1.0,)], [(0.75,)]]
 
 
 def test_euler_characteristic_times_three():
@@ -265,3 +264,63 @@ def test_unimodular_base_change_flips_at_most_sign(rng):
     new_maps = (np.zeros((2, 0)), Minvf @ T @ Mf, np.zeros((0, 2)))
     chi2 = euler_characteristic(GradedGroupComplex(groups, new_maps))
     assert abs(chi2) == pytest.approx(abs(chi))
+
+
+def test_map_of_wrong_shape_rejected():
+    # a 2 x 1 map where the 1 x 2 map V_0 = R^2 -> V_1 = R belongs has the
+    # right size but the wrong shape
+    with pytest.raises(ValueError, match="map 0 must be 1 x 2"):
+        based((2, 1), [np.array([[1.0], [2.0]])])
+    with pytest.raises(ValueError, match="map 1 must be 1 x 2"):
+        based((1, 2, 1), [[[1.0], [0.0]], [[1.0, 2.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="map 0 must be 2 x 2"):
+        based((2, 2), [[[1.0, 0.0], [0.0]]])
+
+
+def test_singular_determinant_factor_raises_exactness_error():
+    # T_1 T_0 = 1e-11 passes the composition check, whose scale is at least
+    # 1, but T_0 e_0 and the lift e_0 of T_1 coincide, so the factor at the
+    # middle space is 0; without a leading zero space it would multiply the
+    # determinant to 0, with one it would divide by 0
+    maps = [[[1.0], [0.0]], [[1e-11, 0.0]]]
+    for lead in range(2):
+        C = pad((1, 2, 1), maps, lead, 0)
+        assert check_exact(C)
+        with pytest.raises(ExactnessError, match="singular"):
+            determinant_exact(C)
+
+
+def svd_rank(T):
+    sv = np.linalg.svd(T, compute_uv=False)
+    return int(np.count_nonzero(sv > ed.RANK_TOL * sv[0]))
+
+
+def test_lifts_rank_matches_svd_rank(rng):
+    # random rank-k products B C up to 6 x 6: the pivot columns J carry the
+    # rank, T e_J has full column rank, and scaling T by 1e+-100 changes
+    # neither
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for k in range(min(m, n) + 1):
+                T = (rng.uniform(-1.0, 1.0, size=(m, k))
+                     @ rng.uniform(-1.0, 1.0, size=(k, n)))
+                r, J = ed._lifts(T)
+                assert r == len(J) == svd_rank(T) == k, (m, n, k)
+                if k:
+                    assert svd_rank(T[:, list(J)]) == k
+                for s in (1e-100, 1e100):
+                    assert ed._lifts(T * s) == (r, J), (m, n, k, s)
+
+
+def test_nearly_singular_map_rejected(rng):
+    # T = U diag(1, ..., 1, s) V^T: with s = 1e-13 the cutoff 1e-10 counts
+    # rank n - 1, so (n, n) is not exact; s = 1e-8 keeps it exact
+    for n in (2, 3, 5):
+        U, _ = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(n, n)))
+        V, _ = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(n, n)))
+        for s, exact in ((1e-13, False), (1e-8, True)):
+            C = based((n, n), [U @ np.diag([1.0] * (n - 1) + [s]) @ V.T])
+            assert check_exact(C) is exact, (n, s)
+            if not exact:
+                with pytest.raises(ExactnessError):
+                    determinant_exact(C)

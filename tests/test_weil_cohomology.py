@@ -69,7 +69,7 @@ def test_psi_complex_real():
     inv = field_invariants(5)
     based, graded = psi_complex(inv)
     assert based.dims == (0, 1, 1, 0)
-    assert based.maps[1][0, 0] == pytest.approx(inv.regulator)
+    assert based.maps[1][0][0] == pytest.approx(inv.regulator)
     assert check_exact(based)
 
 
@@ -85,6 +85,29 @@ def test_psi_complex_realified_once(monkeypatch):
         assert graded.realified() is based
         assert verify_field(d).passed
         assert len(built) == 2  # one in psi_complex, one in verify_field
+
+
+def test_torsion_product_computed_once_per_field(monkeypatch):
+    # euler_characteristic and chi_exact both read the complex's cached
+    # torsion product
+    import zetachi.exact_determinant as ed
+    import zetachi.weil_cohomology as wc
+    calls = []
+    real = ed.torsion_alternating_product
+
+    def counted(groups):
+        calls.append(groups)
+        return real(groups)
+
+    monkeypatch.setattr(ed, "torsion_alternating_product", counted)
+    # also count a direct call from verify_field, should one come back
+    monkeypatch.setattr(wc, "torsion_alternating_product", counted,
+                        raising=False)
+    for d in (RATIONAL_FIELD, -23, 229):
+        calls.clear()
+        report = verify_field(d)
+        assert report.passed
+        assert len(calls) == 1, d
 
 
 def test_psi_dims_match_free_ranks():
