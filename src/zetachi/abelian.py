@@ -127,7 +127,11 @@ class FgAbGroup:
 
 @dataclass(frozen=True)
 class CochainComplex:
-    """Free cochain complex of Z-modules; boundaries[p] maps degree p to p+1."""
+    """Free cochain complex of Z-modules; boundaries[p] maps degree p to p+1.
+
+    Checked once, when it is made, for shapes and for consecutive
+    boundaries composing to zero (MalformedComplexError); being frozen, it
+    stays valid for every later read."""
 
     dims: tuple
     boundaries: tuple = field(default=())
@@ -139,6 +143,7 @@ class CochainComplex:
             if (b.rows, b.cols) != (self.dims[p + 1], self.dims[p]):
                 raise ValueError(f"boundary {p} has shape {(b.rows, b.cols)}, "
                                  f"expected {(self.dims[p + 1], self.dims[p])}")
+        self.validate_composition()
 
     def validate_composition(self):
         b = self.boundaries
@@ -292,7 +297,6 @@ def complex_cohomology(C: CochainComplex, q: int) -> FgAbGroup:
     """
     if not 0 <= q < len(C.dims):
         raise ValueError(f"degree {q} outside complex of length {len(C.dims)}")
-    C.validate_composition()
     rank_out = len(_snf_diagonal(C.boundaries[q])) if q < len(C.boundaries) else 0
     diag_in = _snf_diagonal(C.boundaries[q - 1]) if q > 0 else ()
     return FgAbGroup(

@@ -7,7 +7,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -15,7 +14,8 @@ from typing import Optional
 from .abelian import FgAbGroup
 from .number_field import RATIONAL_FIELD, DiscriminantError, \
     fundamental_discriminants, prime_discriminants
-from .weil_cohomology import VerificationReport, verify_field
+from .weil_cohomology import VerificationReport, validate_tolerance, \
+    verify_field
 from .zeta import ZetaStarValue
 
 __all__ = ["RunConfig", "run", "main", "report_to_dict", "report_from_dict"]
@@ -34,9 +34,7 @@ class RunConfig:
     show_profile: bool = False
 
     def validate(self):
-        if not 0 < self.tolerance < 1:  # at tol >= 1 even chi = 0 passes
-            raise ValueError(f"tolerance must be positive and finite, "
-                             f"below 1, got {self.tolerance!r}")
+        validate_tolerance(self.tolerance)
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
         if self.range_bound is not None and self.range_bound < 3:
@@ -198,6 +196,8 @@ def run(config: RunConfig, out=None):
     # the pool forks all its workers at once: no more than fields or cores
     workers = min(config.jobs, len(targets), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's modules cost a serial run its start-up
+        from concurrent.futures import ProcessPoolExecutor
         # about four batches a worker: few round trips, and still some
         # balancing, since a field's cost grows with |d|
         chunksize = max(1, len(targets) // (4 * workers))

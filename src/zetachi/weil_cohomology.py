@@ -37,6 +37,7 @@ __all__ = [
     "cohomology_profile",
     "psi_complex",
     "verify_field",
+    "validate_tolerance",
     "WEIL_GROUP_H2_METADATA",
     "DETERMINANT_CONVENTION",
 ]
@@ -138,13 +139,20 @@ def psi_complex(inv: QuadraticFieldInvariants):
     return graded.realified(), graded
 
 
+def validate_tolerance(tol):
+    """Raise ValueError unless the verdict's relative tolerance is in
+    (0, 1).  The comparison also rejects nan; at tol >= 1 even chi = 0
+    would pass."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must be positive and finite, below 1, "
+                         f"got {tol!r}")
+
+
 def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     """Build the profile for one field, compute its Euler characteristic,
     and compare with the analytic oracle.  Absolute values only: the sign
     of the identity is not asserted."""
-    if not 0 < tol < 1:  # also rejects nan; at tol >= 1 even chi = 0 passes
-        raise ValueError(f"tolerance must be positive and finite, below 1, "
-                         f"got {tol!r}")
+    validate_tolerance(tol)
     t0 = time.perf_counter()
     inv = field_invariants(d)
     based, graded = psi_complex(inv)

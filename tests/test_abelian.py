@@ -291,20 +291,37 @@ def test_cohomology_leaves_stored_rows_unchanged():
 
 
 def test_cohomology_rejects_bad_composition():
-    C = CochainComplex(
-        (1, 1, 1),
-        (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])),
-    )
     with pytest.raises(MalformedComplexError):
-        complex_cohomology(C, 1)
+        CochainComplex(
+            (1, 1, 1),
+            (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])),
+        )
 
 
 def test_cohomology_checks_every_composition():
-    # H^0 reads only d_0; the bad composition d_2 d_1 must still be caught
+    # H^0 reads only d_0; the bad composition d_2 d_1 is caught anyway,
+    # when the complex is built
     one, zero = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[0]])
-    C = CochainComplex((1, 1, 1, 1), (zero, one, one))
     with pytest.raises(MalformedComplexError):
-        complex_cohomology(C, 0)
+        CochainComplex((1, 1, 1, 1), (zero, one, one))
+
+
+def test_composition_checked_once_per_complex(monkeypatch):
+    calls = []
+    check = CochainComplex.validate_composition
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(CochainComplex, "validate_composition", counted)
+    G = cyclic_group(3)
+    C = build_homogeneous_complex(G, trivial_action(G), 4)
+    assert calls == [C]
+    for _ in range(3):
+        for q in range(len(C.dims)):
+            complex_cohomology(C, q)
+    assert calls == [C]
 
 
 def test_cohomology_unimodular_base_change_invariance(rng):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -198,7 +199,8 @@ def test_pool_never_larger_than_fields_or_cores(monkeypatch, cpus, jobs):
             assert chunksize >= 1
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    # `run` imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     status, reports = run(RunConfig(range_bound=10, jobs=jobs), io.StringIO())
     assert status == 0 and len(reports) == 6
@@ -250,14 +252,18 @@ def test_python_dash_m_entry_point():
 
 
 def test_product_path_imports_neither_numpy_nor_mpmath():
-    # a fresh process that imports zetachi and verifies a real and an
-    # imaginary field never loads numpy or mpmath; a later numpy route must
-    # import numpy inside its own branch
+    # a fresh process that imports zetachi and serially verifies a real and
+    # an imaginary field loads only the verification path: not numpy or
+    # mpmath (a later numpy route imports numpy inside its own branch), not
+    # the process pool (only --jobs above 1 needs it), not the test bed
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = (
         "import sys, zetachi\n"
-        "heavy = ('numpy', 'mpmath')\n"
+        "heavy = ('numpy', 'mpmath', 'concurrent.futures', 'multiprocessing',\n"
+        "         'zetachi.group_cohomology')\n"
         "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+        "for name in zetachi.__all__:\n"
+        "    getattr(zetachi, name)\n"
         "assert zetachi.cli.main(['--field', '5', '--field', '-23']) == 0\n"
         "assert not [m for m in heavy if m in sys.modules], 'run'\n"
     )
