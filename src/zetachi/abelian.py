@@ -32,22 +32,27 @@ class IntMatrix:
     """Sparse integer matrix, arbitrary precision.
 
     `nonzeros[i]` is the {column: value} dict of row i's nonzero entries,
-    keys in ascending column order.  Readers take the rows as stored; the
-    elimination engine copies a row before it changes it.
+    keys in ascending column order, so the row count is `len(nonzeros)`.
+    Readers take the rows as stored; the elimination engine copies a row
+    before it changes it.
     """
 
-    rows: int
     cols: int
     nonzeros: tuple
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        if self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.nonzeros) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.nonzeros)}")
-        for r in self.nonzeros:
-            if r and (min(r) < 0 or max(r) >= self.cols or not all(r.values())):
-                raise ValueError("stored entries must be nonzero and inside the columns")
+        # one C-level pass per property; empty rows have no min or max
+        rows = self.nonzeros
+        if (min(map(min, filter(None, rows)), default=0) < 0
+                or max(map(max, filter(None, rows)), default=-1) >= self.cols
+                or not all(map(all, map(dict.values, rows)))):
+            raise ValueError("stored entries must be nonzero and inside the columns")
+
+    @property
+    def rows(self):
+        return len(self.nonzeros)
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -56,26 +61,18 @@ class IntMatrix:
             cols = len(rows[0]) if rows else 0
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), cols,
-                   tuple({j: v for j, v in enumerate(r) if v} for r in rows))
+        return cls(cols, tuple({j: v for j, v in enumerate(r) if v} for r in rows))
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, tuple({} for _ in range(rows)))
+        return cls(cols, tuple({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple({i: 1} for i in range(n)))
+        return cls(n, tuple({i: 1} for i in range(n)))
 
     def to_rows(self):
         return [[r.get(j, 0) for j in range(self.cols)] for r in self.nonzeros]
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, other.cols, tuple(
-            {j: r[j] for j in sorted(r)}
-            for r in _sparse_product(self.nonzeros, other.nonzeros)))
 
 
 @dataclass(frozen=True)
@@ -146,28 +143,24 @@ class CochainComplex:
         self.validate_composition()
 
     def validate_composition(self):
+        """Each row of d_{p+1} d_p, summed and checked one at a time; the
+        first that does not cancel raises, naming its degree p."""
         b = self.boundaries
         for p in range(len(b) - 1):
-            if any(_sparse_product(b[p + 1].nonzeros, b[p].nonzeros)):
-                raise MalformedComplexError(
-                    f"boundary composition at degree {p} is not zero"
-                )
+            lower = b[p].nonzeros
+            for a in b[p + 1].nonzeros:
+                acc = {}
+                for k, x in a.items():
+                    for j, y in lower[k].items():
+                        acc[j] = acc.get(j, 0) + x * y
+                if any(acc.values()):
+                    raise MalformedComplexError(
+                        f"boundary composition at degree {p} is not zero"
+                    )
 
 
 # ---------------------------------------------------------------------------
 # sparse rows: {column: value} dicts of the nonzero entries
-
-
-def _sparse_product(A_rows, B_rows):
-    """Sparse rows of A @ B from the sparse rows of A and B."""
-    out = []
-    for a in A_rows:
-        acc = {}
-        for k, x in a.items():
-            for j, y in B_rows[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, v in acc.items() if v})
-    return out
 
 
 def _axpy(r, q, s):
@@ -276,13 +269,12 @@ def _snf_diagonal(M: IntMatrix) -> tuple:
 # groups from presentations, cohomology of complexes
 
 
-def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbGroup:
-    """Z^generators modulo the row span of `relations`, in normal form."""
-    if relations.cols != generators:
-        raise ValueError("relation matrix must have one column per generator")
+def group_from_presentation(relations: IntMatrix) -> FgAbGroup:
+    """Z^n modulo the row span of `relations`, n = relations.cols, in normal
+    form."""
     diag = _snf_diagonal(relations)
     return FgAbGroup(
-        free_rank=generators - len(diag),
+        free_rank=relations.cols - len(diag),
         invariant_factors=tuple(d for d in diag if d > 1),
     )
 

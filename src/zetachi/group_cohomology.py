@@ -143,7 +143,7 @@ class GModuleAction:
                 raise GroupValidationError("action matrix has wrong shape")
             # unimodular iff the rows span Z^r, i.e. the cokernel is trivial
             relations = IntMatrix.from_rows([list(row) for row in M], r)
-            if not group_from_presentation(relations, r).is_trivial():
+            if not group_from_presentation(relations).is_trivial():
                 raise GroupValidationError("action matrix is not invertible over Z")
         e = G.identity
         if self.matrices[e] != _identity_rows(r):
@@ -221,7 +221,7 @@ def _build_complex(G, A, p_max, tables):
                 for col, sign in zip(cols, signs):
                     acc[col + a] = acc.get(col + a, 0) + sign
                 D.append({c: acc[c] for c in sorted(acc) if acc[c]})
-        boundaries.append(IntMatrix(dims[p + 1], dims[p], tuple(D)))
+        boundaries.append(IntMatrix(dims[p], tuple(D)))
     return CochainComplex(dims, tuple(boundaries))
 
 
@@ -282,7 +282,12 @@ def build_inhomogeneous_complex(G: FiniteGroup, A: GModuleAction,
 
 def group_cohomology_q(G: FiniteGroup, A: GModuleAction, q: int,
                        complex_builder=build_homogeneous_complex) -> FgAbGroup:
-    """H^q of the finite group G with coefficients in the given action."""
+    """H^q of the finite group G with coefficients in the given action.
+
+    Each call builds and checks a fresh complex in degrees 0..q+1.  For
+    several degrees of one (G, A), build once with `build_*_complex` and
+    read each degree with `complex_cohomology`.
+    """
     if q < 0:
         raise ValueError("degree must be non-negative")
     C = complex_builder(G, A, max(q + 1, 1))

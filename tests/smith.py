@@ -1,6 +1,23 @@
 """Smith normal form with unimodular transforms, the reference that the
-transform-free `_snf_diagonal` of `zetachi.abelian` is tested against, and
-the per-entry pivot rule that its `_pivot_sparse` must agree with."""
+transform-free `_snf_diagonal` of `zetachi.abelian` is tested against, the
+per-entry pivot rule that its `_pivot_sparse` must agree with, and the
+sparse product that the tests compose `IntMatrix` transforms with."""
+
+from zetachi.abelian import IntMatrix
+
+
+def product(A, B):
+    """The `IntMatrix` A @ B, row keys in ascending column order."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch")
+    out = []
+    for a in A.nonzeros:
+        acc = {}
+        for k, x in a.items():
+            for j, y in B.nonzeros[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: acc[j] for j in sorted(acc) if acc[j]})
+    return IntMatrix(B.cols, tuple(out))
 
 
 def pivot_per_entry(rows):

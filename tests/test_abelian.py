@@ -19,14 +19,14 @@ from zetachi.group_cohomology import cyclic_group, trivial_action, \
 
 from bareiss import integer_determinant
 from conftest import random_unimodular
-from smith import diagonal, pivot_per_entry, smith_normal_form
+from smith import diagonal, pivot_per_entry, product, smith_normal_form
 
 
 def snf_invariants(M):
     U, D, V = smith_normal_form(M)
     m, n = M.rows, M.cols
     U, V = IntMatrix.from_rows(U, m), IntMatrix.from_rows(V, n)
-    assert (U @ M @ V).to_rows() == D
+    assert product(product(U, M), V).to_rows() == D
     assert abs(integer_determinant(U)) == 1
     assert abs(integer_determinant(V)) == 1
     diag = diagonal(D)
@@ -81,37 +81,28 @@ small_rows = st.integers(0, 4).flatmap(
 small_matrix = small_rows.map(lambda rn: IntMatrix.from_rows(*rn))
 
 
-@given(small_rows, st.data())
+@given(small_rows)
 @settings(max_examples=150, deadline=None)
-def test_sparse_storage_matches_dense_reference(rn, data):
+def test_sparse_storage_matches_dense_reference(rn):
     rows, n = rn
-    m = len(rows)
     M = IntMatrix.from_rows(rows, n)
     assert M.to_rows() == rows
     assert IntMatrix.from_rows(M.to_rows(), n) == M
     # one {column: value} dict per row: nonzeros only, ascending columns
     assert [list(r.items()) for r in M.nonzeros] == \
         [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-    k = data.draw(st.integers(0, 4))
-    B = data.draw(dense_rows(n, k))
-    product = M @ IntMatrix.from_rows(B, k)
-    assert product.to_rows() == [
-        [sum(rows[i][t] * B[t][j] for t in range(n)) for j in range(k)]
-        for i in range(m)
-    ]
-    assert all(list(r) == sorted(r) for r in product.nonzeros)
     # the elimination engine works on copies of the stored rows
-    group_from_presentation(M, n)
+    group_from_presentation(M)
     assert M.to_rows() == rows
 
 
 def test_sparse_storage_rejects_malformed_rows():
     with pytest.raises(ValueError):
-        IntMatrix(1, 2, ({2: 1},))  # column out of range
+        IntMatrix(2, ({2: 1},))  # column out of range
     with pytest.raises(ValueError):
-        IntMatrix(1, 2, ({0: 0},))  # stored zero
+        IntMatrix(2, ({-1: 1},))  # negative column
     with pytest.raises(ValueError):
-        IntMatrix(2, 2, ({},))  # one row short
+        IntMatrix(2, ({0: 0},))  # stored zero
 
 
 @given(small_matrix)
@@ -125,7 +116,7 @@ def test_snf_random_properties(M):
 def test_presentation_matches_reference_snf(M):
     nonzero = [d for d in diagonal(smith_normal_form(M)[1]) if d]
     expect = FgAbGroup(M.cols - len(nonzero), tuple(d for d in nonzero if d > 1))
-    assert group_from_presentation(M, M.cols) == expect
+    assert group_from_presentation(M) == expect
 
 
 def gcd_of_minors(M, k):
@@ -149,7 +140,7 @@ def test_invariant_factors_are_determinantal_divisors(M):
 
 
 def transpose(M):
-    return IntMatrix(M.cols, M.rows, tuple(
+    return IntMatrix(M.rows, tuple(
         {i: r[j] for i, r in enumerate(M.nonzeros) if j in r}
         for j in range(M.cols)))
 
@@ -202,8 +193,8 @@ def test_diagonal_normalised_to_divisibility_chain():
     diag = lambda a, b: IntMatrix.from_rows([[a, 0], [0, b]])
     assert _snf_diagonal(diag(4, 6)) == (2, 12)
     assert _snf_diagonal(diag(2, 3)) == (1, 6)
-    assert group_from_presentation(diag(4, 6), 2) == FgAbGroup(0, (2, 12))
-    assert group_from_presentation(diag(2, 3), 2) == FgAbGroup.cyclic(6)
+    assert group_from_presentation(diag(4, 6)) == FgAbGroup(0, (2, 12))
+    assert group_from_presentation(diag(2, 3)) == FgAbGroup.cyclic(6)
 
 
 def test_presentation_exact_beyond_int64():
@@ -211,23 +202,21 @@ def test_presentation_exact_beyond_int64():
     d1 = 3 * 2**63
     d2 = 5 * d1
     M = IntMatrix.from_rows([[d1, d1 + d2], [d1, d1 + 2 * d2]])
-    assert group_from_presentation(M, 2) == FgAbGroup(0, (d1, d2))
+    assert group_from_presentation(M) == FgAbGroup(0, (d1, d2))
     assert diagonal(smith_normal_form(M)[1]) == [d1, d2]
 
 
 def test_presentation_free():
-    assert group_from_presentation(IntMatrix.zero(0, 2), 2) == FgAbGroup.free(2)
+    assert group_from_presentation(IntMatrix.zero(0, 2)) == FgAbGroup.free(2)
 
 
 def test_presentation_cyclic():
-    g = group_from_presentation(IntMatrix.from_rows([[2]], 1), 1)
+    g = group_from_presentation(IntMatrix.from_rows([[2]], 1))
     assert g == FgAbGroup.cyclic(2)
 
 
 def test_presentation_two_factors():
-    g = group_from_presentation(
-        IntMatrix.from_rows([[2, 0], [0, 4], [0, 0]], 2), 2
-    )
+    g = group_from_presentation(IntMatrix.from_rows([[2, 0], [0, 4], [0, 0]], 2))
     assert g.free_rank == 0
     assert g.invariant_factors == (2, 4)
 
@@ -237,10 +226,10 @@ def test_presentation_two_factors():
 def test_presentation_unimodular_invariance(M, rnd):
     import numpy as np
 
-    base = group_from_presentation(M, M.cols)
+    base = group_from_presentation(M)
     rng = np.random.default_rng(rnd.randrange(10**6))
     L, _ = random_unimodular(rng, M.rows)
-    assert group_from_presentation(L @ M, M.cols) == base
+    assert group_from_presentation(product(L, M)) == base
     # permuting generators = permuting columns
     perm = list(range(M.cols))
     rng.shuffle(perm)
@@ -248,7 +237,7 @@ def test_presentation_unimodular_invariance(M, rnd):
         [[int(perm[j] == i) for j in range(M.cols)] for i in range(M.cols)],
         M.cols,
     )
-    assert group_from_presentation(M @ P, M.cols) == base
+    assert group_from_presentation(product(M, P)) == base
 
 
 def test_cohomology_mult_n_cokernel():
@@ -291,19 +280,28 @@ def test_cohomology_leaves_stored_rows_unchanged():
 
 
 def test_cohomology_rejects_bad_composition():
-    with pytest.raises(MalformedComplexError):
-        CochainComplex(
-            (1, 1, 1),
-            (IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]])),
-        )
+    one = IntMatrix.from_rows([[1]])
+    with pytest.raises(MalformedComplexError, match="degree 0 "):
+        CochainComplex((1, 1, 1), (one, one))
+    # [[1, 1]] [[1], [-1]] cancels only in the sum; its mirror does not
+    d1 = IntMatrix.from_rows([[1, 1]])
+    CochainComplex((1, 2, 1), (IntMatrix.from_rows([[1], [-1]]), d1))
+    with pytest.raises(MalformedComplexError, match="degree 0 "):
+        CochainComplex((1, 2, 1), (IntMatrix.from_rows([[1], [1]]), d1))
 
 
 def test_cohomology_checks_every_composition():
     # H^0 reads only d_0; the bad composition d_2 d_1 is caught anyway,
     # when the complex is built
     one, zero = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[0]])
-    with pytest.raises(MalformedComplexError):
+    with pytest.raises(MalformedComplexError, match="degree 1 "):
         CochainComplex((1, 1, 1, 1), (zero, one, one))
+    # d_1 d_0 cancels in every row, and of d_2 d_1 only the last row fails
+    d0 = IntMatrix.from_rows([[1], [1]])
+    d1 = IntMatrix.from_rows([[1, -1], [1, -1]])
+    d2 = IntMatrix.from_rows([[1, -1], [0, 1]])
+    with pytest.raises(MalformedComplexError, match="degree 1 "):
+        CochainComplex((1, 2, 2, 2), (d0, d1, d2))
 
 
 def test_composition_checked_once_per_complex(monkeypatch):
@@ -329,7 +327,7 @@ def test_cohomology_unimodular_base_change_invariance(rng):
     C = build_homogeneous_complex(G, trivial_action(G), 3)
     transforms = [random_unimodular(rng, d) for d in C.dims]
     new_boundaries = tuple(
-        transforms[p + 1][1] @ C.boundaries[p] @ transforms[p][0]
+        product(product(transforms[p + 1][1], C.boundaries[p]), transforms[p][0])
         for p in range(len(C.boundaries))
     )
     C2 = CochainComplex(C.dims, new_boundaries)
