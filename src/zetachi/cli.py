@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .abelian import FgAbGroup
 from .number_field import RATIONAL_FIELD, DiscriminantError, \
     fundamental_discriminants, prime_discriminants
 from .weil_cohomology import VerificationReport, validate_tolerance, \
@@ -69,12 +68,8 @@ class RunConfig:
         return sorted(uniq, key=key)
 
 
-def _group_to_dict(g: FgAbGroup):
+def _group_to_dict(g):
     return {"rank": g.free_rank, "factors": list(g.invariant_factors)}
-
-
-def _group_from_dict(obj):
-    return FgAbGroup(obj["rank"], tuple(obj["factors"]))
 
 
 def report_to_dict(r: VerificationReport):
@@ -109,24 +104,20 @@ def report_to_dict(r: VerificationReport):
 
 
 def report_from_dict(obj):
-    """Rebuild the numeric content of an emitted report (round-trip aid)."""
+    """Rebuild an emitted report from its stored facts; the profile, its
+    metadata and the convention follow from them (round-trip aid)."""
     from .number_field import QuadraticFieldInvariants
-    from .weil_cohomology import CohomologyProfile
+    from .weil_cohomology import CohomologyProfile, compact_support_profile
 
     inv = QuadraticFieldInvariants(
         d=obj["field"], r1=obj["r1"], r2=obj["r2"], w=obj["w"], h=obj["h"],
         fundamental_unit=tuple(obj["unit"]) if obj["unit"] else None,
         unit_norm=obj["unit_norm"], regulator=obj["regulator"],
     )
-    profile = CohomologyProfile(
-        compact=tuple(_group_from_dict(g) for g in obj["cohomology"]["compact"]),
-        open=tuple(_group_from_dict(g) for g in obj["cohomology"]["open"]),
-        metadata=obj["metadata"],
-    )
     zs = obj["zeta_star"]
     return VerificationReport(
         invariants=inv,
-        profile=profile,
+        profile=CohomologyProfile(compact_support_profile(inv)),
         chi=obj["chi"],
         chi_exact=Fraction(obj["chi_exact"]) if obj["chi_exact"] else None,
         zeta_star=ZetaStarValue(
@@ -135,7 +126,6 @@ def report_from_dict(obj):
         ),
         ratio=obj["ratio"],
         tolerance=obj["tolerance"],
-        convention=obj["convention"],
         verdict=obj["verdict"],
         elapsed_ms=obj["elapsed_ms"],
     )
@@ -171,8 +161,10 @@ def _print_profile(r, out):
 def _write_json(path, reports):
     """Write the reports as a JSON array, one report per line.  The file is
     written under a temporary name in the target's directory and moved into
-    place only when complete, so a failure leaves any earlier file as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    place only when complete, so a failure leaves any earlier file as it was.
+    The name is random, not the pid, so that a file left behind by a killed
+    run cannot block the write."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     f = open(tmp, "x", encoding="utf-8")
     try:
         with f:

@@ -84,13 +84,10 @@ class GradedGroupComplex:
     realified_maps: tuple
 
     @cached_property
-    def _realified(self):
+    def realified(self) -> BasedRealComplex:
+        """The based real complex, built on the first read."""
         dims = tuple(g.free_rank for g in self.groups)
         return BasedRealComplex(dims, self.realified_maps)
-
-    def realified(self) -> BasedRealComplex:
-        """The based real complex, built on the first call and then reused."""
-        return self._realified
 
     @cached_property
     def torsion_product(self) -> Fraction:
@@ -239,5 +236,5 @@ def euler_characteristic(G: GradedGroupComplex) -> float:
     """Alternating torsion product divided by the determinant of the
     realified based complex.  Only the absolute value is canonical; the
     sign reflects the standard-basis choice."""
-    delta = determinant_exact(G.realified())
+    delta = determinant_exact(G.realified)
     return float(G.torsion_product) / delta

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .abelian import FgAbGroup
 from .exact_determinant import (
@@ -34,7 +34,6 @@ __all__ = [
     "PsiComplexNotExactError",
     "InternalIdentityError",
     "compact_support_profile",
-    "cohomology_profile",
     "psi_complex",
     "verify_field",
     "validate_tolerance",
@@ -67,13 +66,23 @@ class InternalIdentityError(RuntimeError):
     """|chi| disagrees with h*R/w beyond the internal tolerance."""
 
 
+# FgAbGroup is frozen, so every profile shares these two instances
+_ZERO = FgAbGroup.trivial()
+_Z = FgAbGroup.free(1)
+
+
 @dataclass(frozen=True)
 class CohomologyProfile:
-    """Degrees 0..3 of the compact-support and open cohomology."""
+    """Degrees 0..3 of the compact-support cohomology; the open groups
+    follow from them."""
 
     compact: tuple
-    open: tuple
-    metadata: str = WEIL_GROUP_H2_METADATA
+    metadata: ClassVar[str] = WEIL_GROUP_H2_METADATA
+
+    @property
+    def open(self):
+        """H^0..H^3 without supports: (Z, 0, same degree 2, Z/w)."""
+        return (_Z, _ZERO, self.compact[2], self.compact[3])
 
 
 @dataclass(frozen=True)
@@ -86,17 +95,12 @@ class VerificationReport:
     ratio: float
     tolerance: float
     verdict: str
-    convention: str
     elapsed_ms: float
+    convention: ClassVar[str] = DETERMINANT_CONVENTION
 
     @property
     def passed(self):
         return self.verdict == "pass"
-
-
-# FgAbGroup is frozen, so every profile shares these two instances
-_ZERO = FgAbGroup.trivial()
-_Z = FgAbGroup.free(1)
 
 
 def compact_support_profile(inv: QuadraticFieldInvariants):
@@ -107,17 +111,6 @@ def compact_support_profile(inv: QuadraticFieldInvariants):
     factors = (inv.h,) if inv.h > 1 else ()
     return (_ZERO, _Z if r else _ZERO, FgAbGroup(r, factors),
             FgAbGroup.cyclic(inv.w))
-
-
-def _profile_from_compact(compact) -> CohomologyProfile:
-    """The open groups H^0..H^3 without supports are (Z, 0, same degree 2,
-    Z/w)."""
-    return CohomologyProfile(compact=compact,
-                             open=(_Z, _ZERO, compact[2], compact[3]))
-
-
-def cohomology_profile(inv: QuadraticFieldInvariants) -> CohomologyProfile:
-    return _profile_from_compact(compact_support_profile(inv))
 
 
 def psi_complex(inv: QuadraticFieldInvariants):
@@ -136,7 +129,7 @@ def psi_complex(inv: QuadraticFieldInvariants):
     middle = ((inv.regulator,),) if r else ()
     graded = GradedGroupComplex(tuple(groups), (((),) * r, middle, ()))
     # built once: `euler_characteristic(graded)` reuses this realification
-    return graded.realified(), graded
+    return graded.realified, graded
 
 
 def validate_tolerance(tol):
@@ -151,13 +144,14 @@ def validate_tolerance(tol):
 def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     """Build the profile for one field, compute its Euler characteristic,
     and compare with the analytic oracle.  Absolute values only: the sign
-    of the identity is not asserted."""
+    of chi is not asserted.  Where both sides are exact rationals (Q and
+    the imaginary fields), the verdict also requires them to be equal."""
     validate_tolerance(tol)
     t0 = time.perf_counter()
     inv = field_invariants(d)
     based, graded = psi_complex(inv)
     # the psi-complex is built on the compact profile; reuse its groups
-    profile = _profile_from_compact(graded.groups)
+    profile = CohomologyProfile(graded.groups)
     try:
         chi = euler_characteristic(graded)
     except ExactnessError as exc:
@@ -175,7 +169,11 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     zstar = zeta_star_at_zero(d)
     ratio = abs(chi) / abs(zstar.leading)
     order_ok = zstar.order == inv.unit_rank == based.dims[1]
-    verdict = "pass" if (abs(ratio - 1.0) <= tol and order_ok) else "fail"
+    # for Q and imaginary fields both sides are exact rationals, so beside
+    # the tol gate they must also be equal
+    exact_ok = chi_exact is None or chi_exact == -zstar.exact
+    verdict = ("pass" if abs(ratio - 1.0) <= tol and order_ok and exact_ok
+               else "fail")
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         invariants=inv,
@@ -186,6 +184,5 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
         ratio=ratio,
         tolerance=tol,
         verdict=verdict,
-        convention=DETERMINANT_CONVENTION,
         elapsed_ms=elapsed_ms,
     )

@@ -100,10 +100,13 @@ def test_show_profile_output():
 def test_json_round_trip(tmp_path):
     path = tmp_path / "reports.json"
     out = io.StringIO()
-    _, reports = run(RunConfig(targets=[RATIONAL_FIELD, -23, 5],
+    # w = 6 and 4 at -3 and -4; h = 3 at -23 and at 229, where N(eps) = -1;
+    # N(eps) = +1 at 12
+    targets = [RATIONAL_FIELD, -3, -4, -23, 5, 12, 229]
+    _, reports = run(RunConfig(targets=targets,
                                json_path=str(path), table=False), out)
     loaded = json.loads(path.read_text())
-    assert len(loaded) == 3
+    assert len(loaded) == len(targets)
     for obj, original in zip(loaded, reports):
         rebuilt = report_from_dict(obj)
         assert rebuilt.invariants == original.invariants
@@ -143,6 +146,18 @@ def test_json_write_failure_keeps_earlier_file(tmp_path, monkeypatch):
             io.StringIO())
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["reports.json"]
+
+
+def test_json_run_survives_a_stale_temporary_file(tmp_path):
+    # a killed run leaves its temporary file behind, and a later run may
+    # get the same pid; that run must still write its report
+    path = tmp_path / "reports.json"
+    stale = tmp_path / f"reports.json.{os.getpid()}.tmp"
+    stale.write_text("partial")
+    assert main(["--field", "5", "--json", str(path)]) == 0
+    assert [r["field"] for r in json.loads(path.read_text())] == [5]
+    assert stale.read_text() == "partial"
+    assert sorted(os.listdir(tmp_path)) == sorted(["reports.json", stale.name])
 
 
 @pytest.mark.parametrize("make_path, message", [

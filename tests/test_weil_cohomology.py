@@ -13,9 +13,9 @@ from zetachi.number_field import (
 from zetachi.weil_cohomology import (
     DETERMINANT_CONVENTION,
     WEIL_GROUP_H2_METADATA,
+    CohomologyProfile,
     InternalIdentityError,
     PsiComplexNotExactError,
-    cohomology_profile,
     compact_support_profile,
     psi_complex,
     verify_field,
@@ -43,16 +43,17 @@ def test_compact_profile_real():
 
 
 def test_open_profile_shape():
-    inv = field_invariants(-23)
-    groups = cohomology_profile(inv).open
-    assert groups[0] == FgAbGroup.free(1)
-    assert groups[1] == FgAbGroup.trivial()
-    assert groups[2] == compact_support_profile(inv)[2]
-    assert groups[3] == FgAbGroup.cyclic(2)
+    for d in (RATIONAL_FIELD, -3, -23, 5, 12):
+        inv = field_invariants(d)
+        groups = CohomologyProfile(compact_support_profile(inv)).open
+        assert groups[0] == FgAbGroup.free(1)
+        assert groups[1] == FgAbGroup.trivial()
+        assert groups[2] == compact_support_profile(inv)[2]
+        assert groups[3] == FgAbGroup.cyclic(inv.w)
 
 
 def test_profile_metadata_is_attached():
-    profile = cohomology_profile(field_invariants(5))
+    profile = CohomologyProfile(compact_support_profile(field_invariants(5)))
     assert profile.metadata == WEIL_GROUP_H2_METADATA
     assert "not computed" in profile.metadata
 
@@ -82,7 +83,7 @@ def test_psi_complex_realified_once(monkeypatch):
     for d in (RATIONAL_FIELD, -23, 229):
         built.clear()
         based, graded = psi_complex(field_invariants(d))
-        assert graded.realified() is based
+        assert graded.realified is based
         assert verify_field(d).passed
         assert len(built) == 2  # one in psi_complex, one in verify_field
 
@@ -197,6 +198,23 @@ def test_internal_identity_guard_fires(monkeypatch):
     for d in (RATIONAL_FIELD, -23, 5):
         with pytest.raises(InternalIdentityError, match="h\\*R/w"):
             wc.verify_field(d)
+
+
+def test_verify_requires_exact_equality_where_both_sides_are_exact(
+        monkeypatch):
+    # h off by one moves the ratio by 1/h, inside a loose tol of 0.5, but
+    # chi_exact = (h + 1)/w no longer equals -zeta*(0) = h/w
+    import zetachi.weil_cohomology as wc
+    for d, h in ((-23, 3), (-47, 5), (-167, 11), (-239, 15)):
+        inv = field_invariants(d)
+        assert inv.h == h
+        broken = inv.__class__(**{**inv.__dict__, "h": h + 1})
+        monkeypatch.setattr(wc, "field_invariants", lambda d: broken)
+        report = wc.verify_field(d, tol=0.5)
+        assert abs(report.ratio - 1.0) <= 0.5, d
+        assert report.chi_exact == Fraction(h + 1, inv.w), d
+        assert report.zeta_star.exact == -Fraction(h, inv.w), d
+        assert not report.passed, d
 
 
 def test_verify_detects_oracle_mismatch():
