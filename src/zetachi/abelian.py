@@ -109,9 +109,6 @@ class FgAbGroup:
     def torsion_order(self):
         return prod(self.invariant_factors)
 
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.invariant_factors
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:

@@ -62,10 +62,8 @@ class RunConfig:
         ds = list(self.targets)
         if self.range_bound is not None:
             ds.extend(fundamental_discriminants(self.range_bound))
-        seen = set()
-        uniq = [d for d in ds if not (d in seen or seen.add(d))]
         key = lambda d: (0, 0) if d == RATIONAL_FIELD else (abs(d), d)
-        return sorted(uniq, key=key)
+        return sorted(set(ds), key=key)
 
 
 def _group_to_dict(g):
@@ -110,7 +108,7 @@ def report_from_dict(obj):
     from .weil_cohomology import CohomologyProfile, compact_support_profile
 
     inv = QuadraticFieldInvariants(
-        d=obj["field"], r1=obj["r1"], r2=obj["r2"], w=obj["w"], h=obj["h"],
+        d=obj["field"], h=obj["h"],
         fundamental_unit=tuple(obj["unit"]) if obj["unit"] else None,
         unit_norm=obj["unit_norm"], regulator=obj["regulator"],
     )
@@ -131,10 +129,6 @@ def report_from_dict(obj):
     )
 
 
-def _field_label(d):
-    return "Q" if d == RATIONAL_FIELD else str(d)
-
-
 def _print_table(reports, out):
     header = f"{'d':>6} {'h':>4} {'R':>14} {'w':>3} {'|chi|':>14} " \
              f"{'|zeta*(0)|':>14} {'rel err':>10} verdict"
@@ -142,7 +136,7 @@ def _print_table(reports, out):
     for r in reports:
         inv = r.invariants
         print(
-            f"{_field_label(inv.d):>6} {inv.h:>4} {inv.regulator:>14.10f} "
+            f"{inv.d:>6} {inv.h:>4} {inv.regulator:>14.10f} "
             f"{inv.w:>3} {abs(r.chi):>14.10f} {abs(r.zeta_star.leading):>14.10f} "
             f"{abs(r.ratio - 1):>10.2e} {r.verdict}",
             file=out,
@@ -151,7 +145,7 @@ def _print_table(reports, out):
 
 def _print_profile(r, out):
     inv = r.invariants
-    print(f"-- field {_field_label(inv.d)}: cohomology profile", file=out)
+    print(f"-- field {inv.d}: cohomology profile", file=out)
     for q in range(4):
         print(f"   compact H^{q} = {r.profile.compact[q]}    "
               f"open H^{q} = {r.profile.open[q]}", file=out)

@@ -13,7 +13,7 @@ with i the index of V_i in the complex as given.  Replacing b_i by b_i M
 scales the factors at V_i and V_{i+1} by det M, once up and once down, so
 the value does not depend on the lifts.  Here b_i are the standard vectors
 e_J of the r_i pivot columns J of a complete-pivoting elimination of T_i,
-and the same elimination gives r_i.
+and the same elimination gives r_i and, run to the end, each determinant.
 
 A zero space contributes the empty determinant 1 and costs no linear
 algebra; a leading one still shifts the parity of the spaces after it, so
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 __all__ = [
     "BasedRealComplex",
@@ -104,29 +105,39 @@ def _times(T, v):
     return tuple(sum(t * x for t, x in zip(row, v)) for row in T)
 
 
-def _lifts(T):
-    """Rank r of a nonempty T and the r pivot columns J of its elimination
-    with complete pivoting: T maps e_J onto a basis of its image.  A pivot
-    counts when it exceeds RANK_TOL times max |t_ij|."""
+def _eliminate(T, cutoff):
+    """Elimination of T, given by its rows, with complete pivoting while a
+    pivot exceeds `cutoff`: each pivot's column and its value, signed by the
+    parity of the adjacent swaps that bring it to the front of the rows and
+    columns still left.  A square T has the product of the signed pivots as
+    its determinant once every row has one."""
     A = [list(row) for row in T]
-    cutoff = RANK_TOL * _max_abs(A)
-    rows, cols = list(range(len(A))), list(range(len(A[0])))
+    rows, cols = list(range(len(A))), list(range(len(A[0]) if A else 0))
     pivots = []
     while rows and cols:
         v, i, j = max((abs(A[i][j]), i, j) for i in rows for j in cols)
-        if not v > cutoff:  # also stops on an all-zero T, where cutoff is 0
+        if not v > cutoff:  # also stops on an all-zero rest
             break
-        pivots.append(j)
+        Ai = A[i]
+        p = Ai[j]
+        pivots.append((j, -p if (rows.index(i) + cols.index(j)) % 2 else p))
         rows.remove(i)
         cols.remove(j)
-        Ai = A[i]
         for k in rows:
-            f = A[k][j] / Ai[j]
+            f = A[k][j] / p
             if f:
                 Ak = A[k]
                 for c in cols:
                     Ak[c] -= f * Ai[c]
-    return len(pivots), tuple(pivots)
+    return pivots
+
+
+def _lifts(T):
+    """Rank r of a nonempty T and the r pivot columns J of its elimination:
+    T maps e_J onto a basis of its image.  A pivot counts when it exceeds
+    RANK_TOL times max |t_ij|."""
+    pivots = _eliminate(T, RANK_TOL * _max_abs(T))
+    return len(pivots), tuple(j for j, _ in pivots)
 
 
 def _split(C):
@@ -158,26 +169,12 @@ def check_exact(C: BasedRealComplex) -> bool:
 
 
 def _det(rows):
-    """Determinant of a square matrix by LU with partial pivoting."""
-    A = [list(row) for row in rows]
-    n = len(A)
-    det = 1.0
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(A[i][k]))
-        if A[p][k] == 0.0:
-            return 0.0
-        if p != k:
-            A[k], A[p] = A[p], A[k]
-            det = -det
-        Ak = A[k]
-        det *= Ak[k]
-        for i in range(k + 1, n):
-            f = A[i][k] / Ak[k]
-            if f:
-                Ai = A[i]
-                for j in range(k + 1, n):
-                    Ai[j] -= f * Ak[j]
-    return det
+    """Determinant of a square matrix from its elimination: the product of
+    the signed pivots, or 0.0 when a zero rest leaves a row without one."""
+    pivots = _eliminate(rows, 0.0)
+    if len(pivots) < len(rows):
+        return 0.0
+    return prod((p for _, p in pivots), start=1.0)
 
 
 def _mixed(b, rng):

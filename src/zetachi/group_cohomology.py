@@ -11,8 +11,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, IntMatrix, CochainComplex, complex_cohomology, \
-    group_from_presentation
+from .abelian import FgAbGroup, IntMatrix, CochainComplex, complex_cohomology
 
 __all__ = [
     "FiniteGroup",
@@ -135,16 +134,15 @@ class GModuleAction:
         return self.matrices[g]
 
     def validate(self, G: FiniteGroup):
+        """Check the shapes, rho(e) = I and rho(g) rho(h) = rho(gh).  For a
+        group G, validated first, these laws give rho(g) rho(g^-1) = I, so
+        every matrix is invertible over Z."""
         if len(self.matrices) != G.order:
             raise GroupValidationError("need one matrix per group element")
         r = self.rank
         for M in self.matrices:
             if len(M) != r or any(len(row) != r for row in M):
                 raise GroupValidationError("action matrix has wrong shape")
-            # unimodular iff the rows span Z^r, i.e. the cokernel is trivial
-            relations = IntMatrix.from_rows([list(row) for row in M], r)
-            if not group_from_presentation(relations).is_trivial():
-                raise GroupValidationError("action matrix is not invertible over Z")
         e = G.identity
         if self.matrices[e] != _identity_rows(r):
             raise GroupValidationError("identity must act trivially")
@@ -184,9 +182,9 @@ def _check_budget(G, A, p_max):
 
 @functools.lru_cache(maxsize=32)
 def _validate_inputs(G, A):
-    """Check the group and the action.  Both are frozen and hashable, so
-    each distinct pair is checked once; a failing pair is not cached and
-    raises again."""
+    """Check the group, then the action, whose check needs a group.  Both
+    are frozen and hashable, so each distinct pair is checked once; a
+    failing pair is not cached and raises again."""
     G.validate()
     A.validate(G)
 
@@ -290,5 +288,5 @@ def group_cohomology_q(G: FiniteGroup, A: GModuleAction, q: int,
     """
     if q < 0:
         raise ValueError("degree must be non-negative")
-    C = complex_builder(G, A, max(q + 1, 1))
+    C = complex_builder(G, A, q + 1)
     return complex_cohomology(C, q)

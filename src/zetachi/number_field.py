@@ -46,16 +46,31 @@ class DiscriminantError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticFieldInvariants:
-    """Signature, roots of unity, class number, fundamental unit, regulator."""
+    """Class number, fundamental unit and regulator; the signature and the
+    roots of unity follow from d."""
 
     d: object  # fundamental discriminant, or RATIONAL_FIELD
-    r1: int
-    r2: int
-    w: int
     h: int
-    fundamental_unit: Optional[tuple]  # (x, y) meaning (x + y*sqrt(d)) / 2
-    unit_norm: Optional[int]
-    regulator: float
+    fundamental_unit: Optional[tuple] = None  # (x, y) meaning (x + y*sqrt(d)) / 2
+    unit_norm: Optional[int] = None
+    regulator: float = 1.0
+
+    @property
+    def r1(self):
+        """Real places: 1 for Q, 2 for d > 0, 0 for d < 0."""
+        if self.d == RATIONAL_FIELD:
+            return 1
+        return 2 if self.d > 0 else 0
+
+    @property
+    def r2(self):
+        """Complex places: at degree 2 or less, one exactly when no real one."""
+        return int(not self.r1)
+
+    @property
+    def w(self):
+        """Roots of unity: 6 for d = -3, 4 for d = -4, else 2 (Q included)."""
+        return {-3: 6, -4: 4}.get(self.d, 2)
 
     @property
     def unit_rank(self):
@@ -67,8 +82,11 @@ class KroneckerCharacter:
     """The real character attached to a quadratic field, tabulated mod |d|."""
 
     discriminant: int
-    modulus: int
     values: tuple
+
+    @property
+    def modulus(self):
+        return abs(self.discriminant)
 
     @classmethod
     def from_discriminant(cls, d):
@@ -81,7 +99,7 @@ class KroneckerCharacter:
         for f in factors:
             table = _prime_discriminant_table(f) * (q // abs(f))
             values = table if values is None else list(map(mul, values, table))
-        return cls(d, q, tuple(values))
+        return cls(d, tuple(values))
 
     def __call__(self, a):
         return self.values[a % self.modulus]
@@ -224,7 +242,7 @@ def _reduced_forms_real(d):
                 if _is_reduced_indefinite(aa, b, -(m // aa), d):
                     forms.append((aa, b, -(m // aa)))
                     forms.append((-aa, b, m // aa))
-    return sorted(set(forms))
+    return forms
 
 
 def _reduced_forms_real_recount(d):
@@ -342,20 +360,14 @@ def _fundamental_unit(d):
 
 
 def field_invariants(d) -> QuadraticFieldInvariants:
-    """h, R, w and the signature, from the oracles above.  The discriminant
-    is checked once here; the class count and unit skip their own check."""
+    """h, and for a real field the unit and R, from the oracles above.  The
+    discriminant is checked once here; the class count and unit skip their
+    own check."""
     if d == RATIONAL_FIELD:
-        return QuadraticFieldInvariants(
-            d=RATIONAL_FIELD, r1=1, r2=0, w=2, h=1,
-            fundamental_unit=None, unit_norm=None, regulator=1.0,
-        )
+        return QuadraticFieldInvariants(d, h=1)
     prime_discriminants(d)
     if d < 0:
-        w = 6 if d == -3 else 4 if d == -4 else 2
-        return QuadraticFieldInvariants(
-            d=d, r1=0, r2=1, w=w, h=_class_count(d),
-            fundamental_unit=None, unit_norm=None, regulator=1.0,
-        )
+        return QuadraticFieldInvariants(d, h=_class_count(d))
     unit, regulator, norm = _fundamental_unit(d)
     h_plus = _class_count(d)
     if norm == 1:
@@ -364,7 +376,4 @@ def field_invariants(d) -> QuadraticFieldInvariants:
         h = h_plus // 2
     else:
         h = h_plus
-    return QuadraticFieldInvariants(
-        d=d, r1=2, r2=0, w=2, h=h,
-        fundamental_unit=unit, unit_norm=norm, regulator=regulator,
-    )
+    return QuadraticFieldInvariants(d, h, unit, norm, regulator)

@@ -324,3 +324,42 @@ def test_nearly_singular_map_rejected(rng):
             if not exact:
                 with pytest.raises(ExactnessError):
                     determinant_exact(C)
+
+
+def test_det_matches_numpy_with_sign_rule(rng):
+    # the product of the signed pivots against LAPACK, n = 0..7; a zero
+    # column makes the matrix singular, and row or column permutations
+    # change the sign by their parity
+    assert ed._det([]) == 1.0
+    for n in range(8):
+        for _ in range(20):
+            A = rng.uniform(-1.0, 1.0, size=(n, n))
+            cases = [A, A[rng.permutation(n)], A[:, rng.permutation(n)]]
+            if n:
+                Z = A.copy()
+                Z[:, rng.integers(n)] = 0.0
+                cases.append(Z)
+                if n > 1:
+                    S = A.copy()  # rank n - 1 from a repeated row
+                    S[0] = S[-1]
+                    cases.append(S)
+            for B in cases:
+                want = np.linalg.det(B) if n else 1.0
+                got = ed._det(B.tolist())
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (n, B)
+
+
+def test_det_of_one_by_one_is_the_entry():
+    # a real field's factors are 1 x 1: the pivot is the entry itself
+    for x in (0.4812118250596034, -2.5, 1e-300, 1e300):
+        assert ed._det([(x,)]) == x
+    assert ed._det([(0.0,)]) == 0.0
+
+
+def test_mixed_lifts_with_zero_space_and_rank_zero_map(rng):
+    # (0, 1, 1) with T_0: 0 -> R and T_1 = [2]: T_0 has rank 0 and an
+    # empty list of lifts, which the random mixing turns into a 0 x 0
+    # matrix; the leading zero space inverts the determinant 2 of (R, R)
+    C = BasedRealComplex((0, 1, 1), (((),), ((2.0,),)))
+    assert determinant_exact(C) == 0.5
+    assert determinant_exact(C, rng=rng) == pytest.approx(0.5, rel=1e-12)

@@ -186,7 +186,7 @@ def test_invalid_inputs_rejected_on_every_call():
         for group in (bad, as_lists):
             with pytest.raises(GroupValidationError):
                 build_homogeneous_complex(group, trivial_action(G), 2)
-        with pytest.raises(GroupValidationError, match="invertible over Z"):
+        with pytest.raises(GroupValidationError, match="not a homomorphism"):
             build_inhomogeneous_complex(G, doubling, 2)
 
 
@@ -201,13 +201,17 @@ def test_list_inputs_are_stored_as_tuples():
 
 
 def test_action_must_be_unimodular():
-    # C2 acting on Z^2; the generator's matrix must be invertible over Z
+    # C2 acting on Z^2; the generator's matrix must be invertible over Z.
+    # rho(g) rho(g^-1) = rho(e) = I, so one that is not breaks the
+    # homomorphism law, or the identity law when it stands at e
     G = cyclic_group(2)
     one = ((1, 0), (0, 1))
     GModuleAction(2, (one, ((1, 0), (1, -1)))).validate(G)
     for M in [((1, 1), (1, -1)), ((2, 0), (0, 1)), ((1, 1), (1, 1))]:
-        with pytest.raises(GroupValidationError, match="invertible over Z"):
+        with pytest.raises(GroupValidationError, match="not a homomorphism"):
             GModuleAction(2, (one, M)).validate(G)
+        with pytest.raises(GroupValidationError, match="identity must act"):
+            GModuleAction(2, (M, one)).validate(G)
 
 
 def test_budget_is_enforced():

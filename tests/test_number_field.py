@@ -1,3 +1,4 @@
+import dataclasses
 from math import gcd, isqrt
 
 import mpmath
@@ -8,6 +9,7 @@ from zetachi.number_field import (
     RATIONAL_FIELD,
     DiscriminantError,
     KroneckerCharacter,
+    QuadraticFieldInvariants,
     is_fundamental_discriminant,
     fundamental_discriminants,
     prime_discriminants,
@@ -215,6 +217,22 @@ def test_field_invariants_five():
     inv = field_invariants(5)
     assert (inv.w, inv.h) == (2, 1)
     assert inv.regulator == pytest.approx(0.4812118, abs=1e-6)
+
+
+def test_field_invariants_signature_and_roots_of_unity():
+    # (r1, r2, w, unit rank), read off d
+    for d, want in [(RATIONAL_FIELD, (1, 0, 2, 0)), (-3, (0, 1, 6, 0)),
+                    (-4, (0, 1, 4, 0)), (-23, (0, 1, 2, 0)),
+                    (5, (2, 0, 2, 1)), (12, (2, 0, 2, 1))]:
+        inv = field_invariants(d)
+        assert (inv.r1, inv.r2, inv.w, inv.unit_rank) == want, d
+
+
+def test_field_records_store_only_what_d_does_not_give():
+    assert [f.name for f in dataclasses.fields(QuadraticFieldInvariants)] \
+        == ["d", "h", "fundamental_unit", "unit_norm", "regulator"]
+    assert [f.name for f in dataclasses.fields(KroneckerCharacter)] \
+        == ["discriminant", "values"]
 
 
 def test_narrow_wide_relation():
