@@ -42,9 +42,14 @@ class RunConfig:
             # checked now, not after the sweep that it would end
             if not self.json_path:
                 raise ValueError("the JSON path is empty")
-            if os.path.isdir(self.json_path):
+            target = os.path.realpath(self.json_path)
+            if os.path.isdir(target):
                 raise ValueError(f"{self.json_path} is a directory")
-            parent = os.path.dirname(self.json_path) or os.curdir
+            # the write renames a new file onto the target, which would
+            # replace a device node or a FIFO rather than write into it
+            if os.path.exists(target) and not os.path.isfile(target):
+                raise ValueError(f"{self.json_path} is not a regular file")
+            parent = os.path.dirname(target)
             if not os.path.isdir(parent):
                 raise ValueError(f"{parent} is not an existing directory")
         for t in self.targets:
@@ -152,18 +157,24 @@ def _print_profile(r, out):
     print(f"   note: {r.profile.metadata}", file=out)
 
 
+# reports are trees, so the encoder need not look for cycles
+_encode_json = json.JSONEncoder(check_circular=False).encode
+
+
 def _write_json(path, reports):
-    """Write the reports as a JSON array, one report per line.  The file is
-    written under a temporary name in the target's directory and moved into
-    place only when complete, so a failure leaves any earlier file as it was.
-    The name is random, not the pid, so that a file left behind by a killed
-    run cannot block the write."""
+    """Write the reports as a JSON array, one report per line.  A symlink
+    is followed, so the link stays and its target gets the reports.  The
+    file is written under a temporary name in the target's directory and
+    moved into place only when complete, so a failure leaves any earlier
+    file as it was.  The name is random, not the pid, so that a file left
+    behind by a killed run cannot block the write."""
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     f = open(tmp, "x", encoding="utf-8")
     try:
         with f:
             f.write("[\n")
-            f.write(",\n".join(json.dumps(report_to_dict(r)) for r in reports))
+            f.write(",\n".join(_encode_json(report_to_dict(r)) for r in reports))
             f.write("\n]\n")
         os.replace(tmp, path)
     except BaseException:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from operator import mul
 
 __all__ = [
     "BasedRealComplex",
@@ -56,7 +57,7 @@ def _as_maps(dims, maps):
     dims[i]; any nested rows, numpy arrays included, are accepted."""
     out = []
     for i, T in enumerate(maps):
-        rows = tuple(tuple(float(x) for x in row) for row in T)
+        rows = tuple(tuple(map(float, row)) for row in T)
         if len(rows) != dims[i + 1] or any(len(row) != dims[i] for row in rows):
             raise ValueError(f"map {i} must be {dims[i + 1]} x {dims[i]}")
         out.append(rows)
@@ -71,7 +72,7 @@ class BasedRealComplex:
     maps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(map(int, self.dims)))
         if len(self.maps) != max(len(self.dims) - 1, 0):
             raise ValueError("need exactly len(dims) - 1 maps")
         object.__setattr__(self, "maps", _as_maps(self.dims, self.maps))
@@ -95,6 +96,14 @@ class GradedGroupComplex:
         """prod |torsion(A_i)| ^ (-1)^i, computed on the first read."""
         return torsion_alternating_product(self.groups)
 
+    def with_maps(self, realified_maps) -> "GradedGroupComplex":
+        """The same groups with other real maps.  The torsion product
+        depends on the groups alone, so the new complex takes this one's
+        instead of computing it again."""
+        other = GradedGroupComplex(self.groups, realified_maps)
+        other.__dict__["torsion_product"] = self.torsion_product
+        return other
+
 
 def _max_abs(T):
     return max(abs(x) for row in T for x in row)
@@ -102,7 +111,7 @@ def _max_abs(T):
 
 def _times(T, v):
     """The matrix T, given by its rows, times the vector v."""
-    return tuple(sum(t * x for t, x in zip(row, v)) for row in T)
+    return tuple(sum(map(mul, row, v)) for row in T)
 
 
 def _eliminate(T, cutoff):
@@ -118,11 +127,11 @@ def _eliminate(T, cutoff):
         v, i, j = max((abs(A[i][j]), i, j) for i in rows for j in cols)
         if not v > cutoff:  # also stops on an all-zero rest
             break
+        ri, cj = rows.index(i), cols.index(j)
+        del rows[ri], cols[cj]
         Ai = A[i]
         p = Ai[j]
-        pivots.append((j, -p if (rows.index(i) + cols.index(j)) % 2 else p))
-        rows.remove(i)
-        cols.remove(j)
+        pivots.append((j, -p if (ri + cj) % 2 else p))
         for k in rows:
             f = A[k][j] / p
             if f:
@@ -174,7 +183,7 @@ def _det(rows):
     pivots = _eliminate(rows, 0.0)
     if len(pivots) < len(rows):
         return 0.0
-    return prod((p for _, p in pivots), start=1.0)
+    return prod([p for _, p in pivots], start=1.0)
 
 
 def _mixed(b, rng):
@@ -198,23 +207,19 @@ def determinant_exact(C: BasedRealComplex, rng=None) -> float:
     split = _split(C)
     if not _is_exact(C, [r for r, _ in split]):
         raise ExactnessError("complex is not exact")
-    lifts = []
-    for d, (_, pivots) in zip(C.dims, split):
-        b = [tuple(float(x == j) for x in range(d)) for j in pivots]
-        lifts.append(b if rng is None else _mixed(b, rng))
     delta = 1.0
-    for i, d in enumerate(C.dims):
-        if d == 0:
-            continue
-        cols = []
-        if i > 0:
-            cols += [_times(C.maps[i - 1], b) for b in lifts[i - 1]]
-        if i < len(lifts):
-            cols += lifts[i]
-        factor = _det(cols)  # of the transpose, which is the same
-        if factor == 0.0:
-            raise ExactnessError(f"the basis at V_{i} is singular")
-        delta = delta * factor if i % 2 else delta / factor
+    images = []  # the lifts at the space before, mapped into this one
+    # the last space has no map out, so no lifts
+    for i, (d, (_, pivots)) in enumerate(zip(C.dims, [*split, (0, ())])):
+        b = [(0.0,) * j + (1.0,) + (0.0,) * (d - j - 1) for j in pivots]
+        if rng is not None:
+            b = _mixed(b, rng)
+        if d:
+            factor = _det(images + b)  # of the transpose, which is the same
+            if factor == 0.0:
+                raise ExactnessError(f"the basis at V_{i} is singular")
+            delta = delta * factor if i % 2 else delta / factor
+        images = [_times(C.maps[i], v) for v in b]
     return delta
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import ClassVar, Optional
 
 from .abelian import FgAbGroup
@@ -29,6 +30,7 @@ __all__ = [
     "VerificationReport",
     "PsiComplexNotExactError",
     "InternalIdentityError",
+    "cohomology_profile",
     "compact_support_profile",
     "psi_complex",
     "verify_field",
@@ -99,14 +101,49 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
+class _SharedProfile:
+    """What every field with one compact profile shares: the report's
+    profile, and its groups as a graded complex with zero real maps.  With
+    no unit rank that complex is the psi-complex itself, so its chi is
+    shared too; a real field's psi-complex replaces the maps by its own
+    regulator and keeps this complex's torsion product."""
+
+    def __init__(self, groups):
+        self.profile = CohomologyProfile(groups)
+        r = groups[1].free_rank
+        self.graded = GradedGroupComplex(
+            groups, (((),) * r, ((0.0,) * r,) * r, ()))
+
+    @cached_property
+    def chi(self):
+        """The Euler characteristic of `graded`, computed on the first
+        read; exact, and so defined, only when there is no unit rank."""
+        return euler_characteristic(self.graded)
+
+
+@cache
+def cohomology_profile(r, class_group_factors, w):
+    """The shared record of the compact profile (0, Z^r, Z^r + Cl, Z/w),
+    keyed by the data that defines it: r <= 1 the unit rank, the invariant
+    factors of Cl and w.  Its groups are built and validated once per key,
+    and the cache holds one entry per distinct profile however many fields
+    share it."""
+    return _SharedProfile((_ZERO, _Z if r else _ZERO,
+                           FgAbGroup(r, class_group_factors),
+                           FgAbGroup.cyclic(w)))
+
+
+def _shared_profile(inv: QuadraticFieldInvariants):
+    """The shared record of a field's profile.  The torsion of degree 2 is
+    one cyclic factor of order h, read from the invariants."""
+    h = inv.h
+    return cohomology_profile(inv.unit_rank, (h,) if h > 1 else (), inv.w)
+
+
 def compact_support_profile(inv: QuadraticFieldInvariants):
     """H^0..H^3 with compact support: (0, Z^r, Z^r + Cl, Z/w) with r <= 1
-    the unit rank.  The torsion of degree 2 is one cyclic factor of order
-    h, read from the invariants."""
-    r = inv.unit_rank
-    factors = (inv.h,) if inv.h > 1 else ()
-    return (_ZERO, _Z if r else _ZERO, FgAbGroup(r, factors),
-            FgAbGroup.cyclic(inv.w))
+    the unit rank; one shared tuple per profile."""
+    return _shared_profile(inv).profile.compact
 
 
 def psi_complex(inv: QuadraticFieldInvariants):
@@ -116,14 +153,14 @@ def psi_complex(inv: QuadraticFieldInvariants):
     The degree-1 basis comes from all archimedean places but the last; the
     degree-2 basis is dual to the fundamental units mod torsion, so the
     matrix entry for (unit j, place v) is log of the absolute value of the
-    unit at that place.  Returns (BasedRealComplex, GradedGroupComplex).
+    unit at that place.  With no unit rank the complex is the profile's
+    shared one.  Returns (BasedRealComplex, GradedGroupComplex).
     """
-    groups = compact_support_profile(inv)
-    r = inv.unit_rank
-    # Quadratic real case: one fundamental unit, first real place kept.
-    # The unit exceeds 1 in that embedding, so the entry is the regulator.
-    middle = ((inv.regulator,),) if r else ()
-    graded = GradedGroupComplex(tuple(groups), (((),) * r, middle, ()))
+    graded = _shared_profile(inv).graded
+    if inv.unit_rank:
+        # Quadratic real case: one fundamental unit, first real place kept.
+        # The unit exceeds 1 in that embedding, so the entry is the regulator.
+        graded = graded.with_maps((((),), ((inv.regulator,),), ()))
     # built once: `euler_characteristic(graded)` reuses this realification
     return graded.realified, graded
 
@@ -145,18 +182,17 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     validate_tolerance(tol)
     t0 = time.perf_counter()
     inv = field_invariants(d)
-    _, graded = psi_complex(inv)
-    # the psi-complex is built on the compact profile; reuse its groups
-    profile = CohomologyProfile(graded.groups)
+    r = inv.unit_rank
+    shared = _shared_profile(inv)
     try:
-        chi = euler_characteristic(graded)
+        # with no unit rank, chi is a function of the profile alone
+        chi = euler_characteristic(psi_complex(inv)[1]) if r else shared.chi
     except ExactnessError as exc:
         raise PsiComplexNotExactError(
             f"log-absolute-value complex for d = {d!r} is not exact"
         ) from exc
-    chi_exact = None
-    if inv.unit_rank == 0:
-        chi_exact = graded.torsion_product
+    chi_exact = None if r else shared.graded.torsion_product
+    # checked on every field, a shared chi included
     hrw = inv.h * inv.regulator / inv.w
     if abs(abs(chi) - hrw) > _INTERNAL_TOL * hrw:
         raise InternalIdentityError(
@@ -164,7 +200,7 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
         )
     zstar = zeta_star_at_zero(d)
     ratio = abs(chi) / abs(zstar.leading)
-    order_ok = zstar.order == inv.unit_rank
+    order_ok = zstar.order == r
     # for Q and imaginary fields both sides are exact rationals, so beside
     # the tol gate they must also be equal
     exact_ok = chi_exact is None or chi_exact == -zstar.exact
@@ -173,7 +209,7 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         invariants=inv,
-        profile=profile,
+        profile=shared.profile,
         chi=chi,
         chi_exact=chi_exact,
         zeta_star=zstar,

@@ -69,9 +69,9 @@ def L_prime_at_zero(chi: KroneckerCharacter) -> float:
     if chi.is_odd:
         raise ParityError("L'(0, chi) by the sine formula needs an even character")
     q = chi.modulus
-    values = chi.values
-    return -math.fsum(values[a] * math.log(math.sin(math.pi * a / q))
-                      for a in range(1, (q + 1) // 2) if values[a])
+    # chi(0) = 0, so a = 0 drops out with the other zeros
+    return -math.fsum([v * math.log(math.sin(math.pi * a / q))
+                       for a, v in enumerate(chi.values[:(q + 1) // 2]) if v])
 
 
 def zeta_star_at_zero(d) -> ZetaStarValue:

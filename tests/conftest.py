@@ -58,3 +58,13 @@ def random_unimodular(rng, n, steps=12):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def fresh_profiles():
+    """An empty profile cache before the test and after it, so that counts
+    start from nothing and an injected fault leaves no cached chi behind."""
+    from zetachi.weil_cohomology import cohomology_profile
+    cohomology_profile.cache_clear()
+    yield cohomology_profile
+    cohomology_profile.cache_clear()

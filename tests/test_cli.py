@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import io
 import json
 import os
@@ -59,6 +60,24 @@ def test_run_range_sweep():
     assert labels[0] == RATIONAL_FIELD
     assert all(r.passed for r in reports)
     assert f"{len(reports)} passed, 0 failed" in out.getvalue()
+
+
+def test_sweep_matches_fresh_single_field_reports(tmp_path,
+                                                  fresh_profiles):
+    # fields that share a profile share its chi and groups; each report
+    # must still equal one computed for its field alone from an empty cache
+    path = tmp_path / "reports.json"
+    _, reports = run(RunConfig(targets=[RATIONAL_FIELD], range_bound=300,
+                               json_path=str(path), table=False),
+                     io.StringIO())
+    lines = path.read_text().splitlines()[1:-1]
+    assert len(reports) == len(lines) == 185
+    for r, line in zip(reports, lines):
+        fresh_profiles.cache_clear()
+        alone = dataclasses.replace(verify_field(r.invariants.d),
+                                    elapsed_ms=r.elapsed_ms)
+        assert alone == r, r.invariants.d
+        assert line.rstrip(",") == json.dumps(report_to_dict(alone))
 
 
 def test_run_requires_targets():
@@ -160,22 +179,64 @@ def test_json_run_survives_a_stale_temporary_file(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(["reports.json", stale.name])
 
 
+def _fifo(tmp):
+    os.mkfifo(tmp / "pipe.json")
+    return tmp / "pipe.json"
+
+
+def _link_to_fifo(tmp):
+    os.mkfifo(tmp / "pipe")
+    os.symlink(tmp / "pipe", tmp / "link.json")
+    return tmp / "link.json"
+
+
+def _main_exits_before_verifying(capsys, monkeypatch, path, message):
+    verified = []
+    real = cli.verify_field
+    monkeypatch.setattr(cli, "verify_field",
+                        lambda d, tol: verified.append(d) or real(d, tol))
+    with pytest.raises(SystemExit) as exc:
+        main(["--range", "300", "--json", str(path)])
+    assert exc.value.code == USAGE_ERROR
+    assert message in capsys.readouterr().err
+    assert verified == []
+
+
 @pytest.mark.parametrize("make_path, message", [
     (lambda tmp: tmp / "missing" / "out.json", "is not an existing directory"),
     (lambda tmp: tmp, "is a directory"),
 ])
 def test_main_rejects_unwritable_json_path_before_verifying(
         capsys, monkeypatch, tmp_path, make_path, message):
-    verified = []
-    real = cli.verify_field
-    monkeypatch.setattr(cli, "verify_field",
-                        lambda d, tol: verified.append(d) or real(d, tol))
-    with pytest.raises(SystemExit) as exc:
-        main(["--range", "300", "--json", str(make_path(tmp_path))])
-    assert exc.value.code == USAGE_ERROR
-    assert message in capsys.readouterr().err
-    assert verified == []
+    _main_exits_before_verifying(capsys, monkeypatch, make_path(tmp_path),
+                                 message)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("make_path, left", [
+    (_fifo, ["pipe.json"]),
+    (_link_to_fifo, ["link.json", "pipe"]),
+])
+def test_main_rejects_non_regular_json_target_before_verifying(
+        capsys, monkeypatch, tmp_path, make_path, left):
+    _main_exits_before_verifying(capsys, monkeypatch, make_path(tmp_path),
+                                 "is not a regular file")
+    assert sorted(os.listdir(tmp_path)) == left
+    for name in left:  # the FIFO and the link are still what they were
+        assert not (tmp_path / name).is_file()
+
+
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_json_through_a_symlink_writes_its_target(tmp_path, target_exists):
+    target = tmp_path / "target.json"
+    if target_exists:
+        target.write_text("earlier")
+    link = tmp_path / "link.json"
+    os.symlink(target, link)
+    assert main(["--field", "5", "--json", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert [r["field"] for r in json.loads(target.read_text())] == [5]
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
 
 def test_main_rejects_empty_json_path_before_verifying(

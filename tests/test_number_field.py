@@ -94,6 +94,26 @@ def test_fundamental_discriminants_sorted_by_size_then_sign():
     assert len(got) == 1820  # `--field Q --range 3000` adds Q: 1 821 fields
 
 
+def test_fundamental_discriminants_build_no_errors(monkeypatch):
+    # a rejected candidate is skipped, not raised and caught; the public
+    # checks still raise with the failed criterion
+    import zetachi.number_field as nf
+    built = []
+
+    class Counted(DiscriminantError):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(nf, "DiscriminantError", Counted)
+    got = nf.fundamental_discriminants(3000)
+    assert built == []
+    assert len(got) == 1820
+    with pytest.raises(DiscriminantError, match="not squarefree: 3\\^2"):
+        nf.prime_discriminants(-36)
+    assert built == [("-36 = 4*-9 but -9 is not squarefree: 3^2 divides it",)]
+
+
 def _squarefree(n):
     return all(n % (p * p) for p in range(2, isqrt(n) + 1))
 

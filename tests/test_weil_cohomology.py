@@ -74,23 +74,36 @@ def test_psi_complex_real():
     assert check_exact(based)
 
 
-def test_psi_complex_realified_once(monkeypatch):
+def test_psi_complex_realified_once(monkeypatch, fresh_profiles):
+    # Q and -23 share their profile's complex, realified on its first read;
+    # a real field realifies its own complex once
     import zetachi.exact_determinant as ed
     built = []
     real_init = ed.BasedRealComplex.__post_init__
     monkeypatch.setattr(ed.BasedRealComplex, "__post_init__",
                         lambda self: built.append(self) or real_init(self))
-    for d in (RATIONAL_FIELD, -23, 229):
-        built.clear()
-        based, graded = psi_complex(field_invariants(d))
-        assert graded.realified is based
-        assert verify_field(d).passed
-        assert len(built) == 2  # one in psi_complex, one in verify_field
+    for sweep, expected in ((1, {RATIONAL_FIELD: 1, -23: 1, 229: 2}),
+                            (2, {RATIONAL_FIELD: 0, -23: 0, 229: 2})):
+        for d, n in expected.items():
+            built.clear()
+            based, graded = psi_complex(field_invariants(d))
+            assert graded.realified is based
+            assert verify_field(d).passed
+            assert len(built) == n, (sweep, d)
 
 
-def test_torsion_product_computed_once_per_field(monkeypatch):
-    # euler_characteristic and chi_exact both read the complex's cached
-    # torsion product
+def _corpus_profiles():
+    keys = set()
+    for d in [RATIONAL_FIELD] + CORPUS:
+        inv = field_invariants(d)
+        keys.add((inv.unit_rank, inv.h, inv.w))
+    return keys
+
+
+def test_torsion_product_computed_once_per_profile(monkeypatch,
+                                                    fresh_profiles):
+    # chi, chi_exact and every real field's psi-complex read the torsion
+    # product of their profile's shared complex
     import zetachi.exact_determinant as ed
     import zetachi.weil_cohomology as wc
     calls = []
@@ -104,11 +117,33 @@ def test_torsion_product_computed_once_per_field(monkeypatch):
     # also count a direct call from verify_field, should one come back
     monkeypatch.setattr(wc, "torsion_alternating_product", counted,
                         raising=False)
-    for d in (RATIONAL_FIELD, -23, 229):
+    profiles = _corpus_profiles()
+    assert len(profiles) == 21
+    for d in [RATIONAL_FIELD] + CORPUS:
+        assert verify_field(d).passed, d
+    assert len(calls) == len(profiles)
+    assert len(set(calls)) == len(calls)
+    assert fresh_profiles.cache_info().currsize == len(profiles)
+
+
+def test_euler_characteristic_once_per_profile_without_units(
+        monkeypatch, fresh_profiles):
+    # Q and the imaginary fields share their profile's chi; every real
+    # field computes its own
+    import zetachi.weil_cohomology as wc
+    calls = []
+    real = wc.euler_characteristic
+    monkeypatch.setattr(wc, "euler_characteristic",
+                        lambda g: calls.append(g) or real(g))
+    fields = [RATIONAL_FIELD] + CORPUS
+    n_real = sum(d != RATIONAL_FIELD and d > 0 for d in fields)
+    assert n_real == 90
+    n_rank0 = sum(r == 0 for r, _, _ in _corpus_profiles())
+    for expected in (n_rank0 + n_real, n_real):
         calls.clear()
-        report = verify_field(d)
-        assert report.passed
-        assert len(calls) == 1, d
+        for d in fields:
+            verify_field(d)
+        assert len(calls) == expected
 
 
 def test_psi_dims_match_free_ranks():
@@ -191,13 +226,30 @@ def test_chi_tracks_altered_invariants():
                                      rel=1e-12)
 
 
-def test_internal_identity_guard_fires(monkeypatch):
+def test_internal_identity_guard_fires(monkeypatch, fresh_profiles):
+    # the cache starts empty, so the fault reaches every profile's chi
     import zetachi.weil_cohomology as wc
     real = wc.euler_characteristic
     monkeypatch.setattr(wc, "euler_characteristic", lambda g: 2 * real(g))
-    for d in (RATIONAL_FIELD, -23, 5):
+    # -31 shares -23's profile: its chi comes from the cache and still fails
+    for d in (RATIONAL_FIELD, -23, -31, 5):
         with pytest.raises(InternalIdentityError, match="h\\*R/w"):
             wc.verify_field(d)
+
+
+def test_internal_identity_guard_fires_on_cached_chi(monkeypatch,
+                                                     fresh_profiles):
+    # a cache that served -23's chi (h = 3) to a field whose h reads 4
+    # must not pass: the guard checks every field against its own h*R/w
+    import zetachi.weil_cohomology as wc
+    inv = field_invariants(-23)
+    assert wc.verify_field(-23).chi == 1.5
+    real = wc._shared_profile
+    monkeypatch.setattr(wc, "_shared_profile", lambda _: real(inv))
+    altered = inv.__class__(**{**inv.__dict__, "h": 4})
+    monkeypatch.setattr(wc, "field_invariants", lambda d: altered)
+    with pytest.raises(InternalIdentityError, match="h\\*R/w = 2.0"):
+        wc.verify_field(-23)
 
 
 def test_verify_requires_exact_equality_where_both_sides_are_exact(
