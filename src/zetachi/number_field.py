@@ -122,51 +122,6 @@ _EVEN_PRIME_DISCRIMINANT_TABLES = {
 }
 
 
-def _prime_discriminants(d, reject):
-    """`prime_discriminants`, except that a d which is not fundamental
-    returns reject(template, *args): the failed criterion as a format
-    template and its values, so that nothing is formatted unless the
-    message is wanted."""
-    if not isinstance(d, int):
-        return reject("{!r} is not an integer discriminant", d)
-    if d in (0, 1):
-        return reject("{} is not the discriminant of a quadratic field", d)
-    if d % 4 in (2, 3):
-        return reject("{} = {} mod 4; discriminants are 0 or 1 mod 4",
-                      d, d % 4)
-    if d % 4 == 1:
-        m, shape = d, "{0} = 1 mod 4 but is"
-    else:
-        m = d // 4
-        if m % 4 not in (2, 3):
-            return reject("{} = 4*{} with {} = {} mod 4", d, m, m, m % 4)
-        shape = "{0} = 4*{1} but {1} is"
-    rest = abs(m) if m % 2 else abs(m) // 2
-    factors = []
-    p = 3
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return reject(shape + " not squarefree: {2}^2 divides it",
-                              d, m, p)
-            factors.append(p if p % 4 == 1 else -p)
-        p += 2
-    if rest > 1:
-        factors.append(rest if rest % 4 == 1 else -rest)
-    # the criteria above leave d / prod(p*) in {1, -4, 8, -8}
-    even = d // prod(factors)
-    return factors if even == 1 else [even] + factors
-
-
-def _raise_discriminant_error(template, *args):
-    raise DiscriminantError(template.format(*args))
-
-
-def _not_fundamental(template, *args):
-    return None
-
-
 def prime_discriminants(d):
     """Split a fundamental discriminant into prime discriminants: -4, 8 or
     -8 when d is even, then p* = +-p = 1 mod 4 for each odd prime p | d
@@ -175,7 +130,35 @@ def prime_discriminants(d):
     An integer d != 1 is fundamental exactly when d = 1 mod 4 and d is
     squarefree, or d = 4m with m = 2 or 3 mod 4 and m squarefree.  Raises
     DiscriminantError naming the criterion that fails."""
-    return _prime_discriminants(d, _raise_discriminant_error)
+    if not isinstance(d, int):
+        raise DiscriminantError(f"{d!r} is not an integer discriminant")
+    if d in (0, 1):
+        raise DiscriminantError(
+            f"{d} is not the discriminant of a quadratic field")
+    if d % 4 in (2, 3):
+        raise DiscriminantError(
+            f"{d} = {d % 4} mod 4; discriminants are 0 or 1 mod 4")
+    m = d if d % 4 else d // 4
+    if d % 4 == 0 and m % 4 not in (2, 3):
+        raise DiscriminantError(f"{d} = 4*{m} with {m} = {m % 4} mod 4")
+    rest = abs(m) if m % 2 else abs(m) // 2
+    factors = []
+    p = 3
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                shape = f"{d} = 1 mod 4 but is" if d % 4 \
+                    else f"{d} = 4*{m} but {m} is"
+                raise DiscriminantError(
+                    f"{shape} not squarefree: {p}^2 divides it")
+            factors.append(p if p % 4 == 1 else -p)
+        p += 2
+    if rest > 1:
+        factors.append(rest if rest % 4 == 1 else -rest)
+    # the criteria above leave d / prod(p*) in {1, -4, 8, -8}
+    even = d // prod(factors)
+    return factors if even == 1 else [even] + factors
 
 
 def _prime_discriminant_table(f):
@@ -192,13 +175,25 @@ def _prime_discriminant_table(f):
 
 
 def is_fundamental_discriminant(d) -> bool:
-    return _prime_discriminants(d, _not_fundamental) is not None
+    try:
+        prime_discriminants(d)
+    except DiscriminantError:
+        return False
+    return True
 
 
 def fundamental_discriminants(bound):
-    """All fundamental discriminants with |d| <= bound, sorted by (|d|, sign)."""
+    """All fundamental discriminants with |d| <= bound, sorted by (|d|, sign):
+    d = 1 mod 4 with |d| squarefree, or d = 8 or 12 mod 16 (d = 4m with
+    m = 2 or 3 mod 4) with |d|/4 squarefree, read off one sieve that
+    clears the multiples of every square p^2 <= bound."""
+    n = max(bound, 0)
+    squarefree = bytearray([1]) * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        squarefree[p * p::p * p] = bytes(n // (p * p))
     return [d for a in range(2, bound + 1) for d in (-a, a)
-            if is_fundamental_discriminant(d)]
+            if d % 4 == 1 and squarefree[a]
+            or d % 16 in (8, 12) and squarefree[a // 4]]
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,18 @@ def test_fundamental_discriminant_predicate():
         assert not is_fundamental_discriminant(bad)
 
 
-def test_fundamental_discriminants_sorted_by_size_then_sign():
-    expect = sorted((d for a in range(2, 3001) for d in (-a, a)
+@pytest.mark.parametrize("bound", [-1, 0, 1, 2, 3, 4, 8, 9, 12, 13, 24, 25,
+                                   48, 49, 3000, 30000])
+def test_fundamental_discriminants_sorted_by_size_then_sign(bound):
+    # the sieve against the per-d check, from bounds below 2 through the
+    # first squares p^2 and even discriminants, to 30 000
+    expect = sorted((d for a in range(2, bound + 1) for d in (-a, a)
                      if is_fundamental_discriminant(d)),
                     key=lambda d: (abs(d), d))
-    got = fundamental_discriminants(3000)
+    got = fundamental_discriminants(bound)
     assert got == expect
-    assert len(got) == 1820  # `--field Q --range 3000` adds Q: 1 821 fields
+    if bound == 3000:
+        assert len(got) == 1820  # `--field Q --range 3000` adds Q: 1 821 fields
 
 
 def test_fundamental_discriminants_build_no_errors(monkeypatch):
@@ -146,6 +151,24 @@ def test_prime_discriminants_multiply_to_d():
         assert product == d
         assert sum(f % 2 == 0 for f in factors) <= 1, d
         assert len(set(map(abs, factors))) == len(factors), d
+
+
+@pytest.mark.parametrize("d, message", [
+    ("Q", "'Q' is not an integer discriminant"),
+    (0, "0 is not the discriminant of a quadratic field"),
+    (1, "1 is not the discriminant of a quadratic field"),
+    (6, "6 = 2 mod 4; discriminants are 0 or 1 mod 4"),
+    (-1, "-1 = 3 mod 4; discriminants are 0 or 1 mod 4"),
+    (48, "48 = 4*12 with 12 = 0 mod 4"),
+    (20, "20 = 4*5 with 5 = 1 mod 4"),
+    (45, "45 = 1 mod 4 but is not squarefree: 3^2 divides it"),
+    (-180, "-180 = 4*-45 but -45 is not squarefree: 3^2 divides it"),
+    (72, "72 = 4*18 but 18 is not squarefree: 3^2 divides it"),
+])
+def test_prime_discriminants_message_in_full(d, message):
+    with pytest.raises(DiscriminantError) as info:
+        prime_discriminants(d)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("d, criterion", [
