@@ -12,10 +12,12 @@ from zetachi.abelian import (
     group_from_presentation,
     complex_cohomology,
     _pivot_sparse,
+    _rank_mod_p,
     _snf_diagonal,
 )
-from zetachi.group_cohomology import cyclic_group, trivial_action, \
-    build_homogeneous_complex
+from zetachi.group_cohomology import cyclic_group, direct_product, \
+    symmetric_group, trivial_action, build_homogeneous_complex, \
+    build_inhomogeneous_complex
 
 from bareiss import integer_determinant
 from conftest import random_unimodular
@@ -257,6 +259,47 @@ def test_cohomology_zero_map_kernel():
     assert complex_cohomology(C, 0) == FgAbGroup.free(1)
 
 
+def test_cohomology_rank_that_vanishes_mod_the_prime():
+    # d_0 = [[2^31 - 1]] has rank 0 mod the certificate's prime, below the
+    # bound 1; its rank 1 over Q comes from the Smith diagonal
+    C = CochainComplex((1, 1), (IntMatrix.from_rows([[2**31 - 1]]),))
+    assert complex_cohomology(C, 0) == FgAbGroup.trivial()
+    assert complex_cohomology(C, 1) == FgAbGroup.cyclic(2**31 - 1)
+
+
+def test_cohomology_bound_not_reached_above_degree_zero():
+    # rk d_1 <= n_1 - rk d_0 = 1, but d_1 = 0: the bound is no rank
+    zero = IntMatrix.zero(1, 1)
+    C = CochainComplex((1, 1, 1), (zero, zero))
+    assert [complex_cohomology(C, q) for q in range(3)] == [FgAbGroup.free(1)] * 3
+
+
+@given(small_matrix, st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_rank_mod_p_counts_to_the_stop(M, stop):
+    # entries of at most 30 keep every minor below the prime, so the rank
+    # mod the prime is the rank over Q
+    rank = sum(1 for d in diagonal(smith_normal_form(M)[1]) if d)
+    assert _rank_mod_p(M, stop) == min(rank, stop)
+
+
+@pytest.mark.parametrize("G", [cyclic_group(6), symmetric_group(3)],
+                         ids=["C6", "S3"])
+def test_out_map_rank_certified_without_smith(G, monkeypatch):
+    # H^3(G, Z) = 0 reads rk d_3 of the 1296 x 216 out-map off the bound,
+    # so the Smith engine runs on the 216 x 36 in-map alone
+    shapes = []
+
+    def recorded(M):
+        shapes.append((M.rows, M.cols))
+        return _snf_diagonal(M)
+
+    C = build_homogeneous_complex(G, trivial_action(G), 4)
+    monkeypatch.setattr("zetachi.abelian._snf_diagonal", recorded)
+    assert complex_cohomology(C, 3) == FgAbGroup.trivial()
+    assert shapes == [(216, 36)]
+
+
 def test_cohomology_bar_complex_z2():
     # brute-force oracle: the homogeneous complex of the order-2 group
     G = cyclic_group(2)
@@ -335,11 +378,28 @@ def test_cohomology_unimodular_base_change_invariance(rng):
         assert complex_cohomology(C2, q) == complex_cohomology(C, q)
 
 
-def test_rank_nullity_accounting():
-    G = cyclic_group(4)
-    C = build_homogeneous_complex(G, trivial_action(G), 3)
-    ranks = [sum(1 for x in diagonal(smith_normal_form(b)[1]) if x)
-             for b in C.boundaries]
+_c2 = cyclic_group(2)
+_REFERENCE_GROUPS = {"C2": _c2, "C3": cyclic_group(3), "C4": cyclic_group(4),
+                     "C6": cyclic_group(6), "S3": symmetric_group(3),
+                     "C2xC2": direct_product(_c2, _c2)}
+
+
+@pytest.mark.parametrize("builder", [build_homogeneous_complex,
+                                     build_inhomogeneous_complex],
+                         ids=["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("name", list(_REFERENCE_GROUPS))
+def test_rank_nullity_accounting(name, builder):
+    # every degree against the reference Smith forms; degrees 0..3 keep the
+    # n^4-row term out
+    G = _REFERENCE_GROUPS[name]
+    C = builder(G, trivial_action(G), 3)
+    diags = [()] + [tuple(x for x in diagonal(smith_normal_form(b)[1]) if x)
+                    for b in C.boundaries] + [()]
+    ranks = [len(d) for d in diags]
+    for q, n in enumerate(C.dims):
+        expect = FgAbGroup(n - ranks[q + 1] - ranks[q],
+                           tuple(x for x in diags[q] if x > 1))
+        assert complex_cohomology(C, q) == expect
     free = sum(complex_cohomology(C, q).free_rank for q in range(len(C.dims)))
     assert sum(C.dims) == 2 * sum(ranks) + free
 
