@@ -9,15 +9,16 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .number_field import RATIONAL_FIELD, DiscriminantError, \
-    fundamental_discriminants, prime_discriminants
+    QuadraticFieldInvariants, fundamental_discriminants, prime_discriminants
 from .weil_cohomology import VerificationReport, validate_tolerance, \
     verify_field
 from .zeta import ZetaStarValue
 
-__all__ = ["RunConfig", "run", "main", "report_to_dict", "report_from_dict"]
+__all__ = ["RunConfig", "ErrorReport", "run", "main", "report_to_dict",
+           "report_from_dict"]
 
 USAGE_ERROR = 2
 
@@ -33,6 +34,8 @@ class RunConfig:
     show_profile: bool = False
 
     def validate(self):
+        if not self.targets and self.range_bound is None:
+            raise ValueError("no targets: give --field and/or --range")
         validate_tolerance(self.tolerance)
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs!r}")
@@ -71,12 +74,37 @@ class RunConfig:
         return sorted(set(ds), key=key)
 
 
+@dataclass(frozen=True)
+class ErrorReport:
+    """A field whose verification raised: the stage that raised
+    ("invariants", "chi" or "oracle") and the exception as text."""
+
+    field: object
+    stage: str
+    message: str
+    verdict: ClassVar[str] = "error"
+
+
+def _verify(d, tol):
+    """The field's report, or its `ErrorReport` if verifying it raised, so
+    that one bad field does not end the sweep.  Module level, so that the
+    pool can pickle it."""
+    try:
+        return verify_field(d, tol=tol)
+    except Exception as exc:
+        return ErrorReport(d, exc.stage, f"{type(exc).__name__}: {exc}")
+
+
 def _group_to_dict(g):
     return {"rank": g.free_rank, "factors": list(g.invariant_factors)}
 
 
-def report_to_dict(r: VerificationReport):
+def report_to_dict(r):
+    if r.verdict == "error":
+        return {"field": r.field, "verdict": r.verdict,
+                "error": {"stage": r.stage, "message": r.message}}
     inv = r.invariants
+    profile = r.profile
     return {
         "field": inv.d,
         "r1": inv.r1,
@@ -87,10 +115,10 @@ def report_to_dict(r: VerificationReport):
         "unit": list(inv.fundamental_unit) if inv.fundamental_unit else None,
         "unit_norm": inv.unit_norm,
         "cohomology": {
-            "compact": [_group_to_dict(g) for g in r.profile.compact],
-            "open": [_group_to_dict(g) for g in r.profile.open],
+            "compact": [_group_to_dict(g) for g in profile.compact],
+            "open": [_group_to_dict(g) for g in profile.open],
         },
-        "metadata": r.profile.metadata,
+        "metadata": profile.metadata,
         "chi": r.chi,
         "chi_exact": str(r.chi_exact) if r.chi_exact is not None else None,
         "zeta_star": {
@@ -108,10 +136,10 @@ def report_to_dict(r: VerificationReport):
 
 def report_from_dict(obj):
     """Rebuild an emitted report from its stored facts; the profile, its
-    metadata and the convention follow from them (round-trip aid)."""
-    from .number_field import QuadraticFieldInvariants
-    from .weil_cohomology import CohomologyProfile, compact_support_profile
-
+    metadata and the convention follow from them (round-trip aid).  An
+    `error` line gives back its `ErrorReport`."""
+    if obj["verdict"] == "error":
+        return ErrorReport(obj["field"], **obj["error"])
     inv = QuadraticFieldInvariants(
         d=obj["field"], h=obj["h"],
         fundamental_unit=tuple(obj["unit"]) if obj["unit"] else None,
@@ -120,7 +148,6 @@ def report_from_dict(obj):
     zs = obj["zeta_star"]
     return VerificationReport(
         invariants=inv,
-        profile=CohomologyProfile(compact_support_profile(inv)),
         chi=obj["chi"],
         chi_exact=Fraction(obj["chi_exact"]) if obj["chi_exact"] else None,
         zeta_star=ZetaStarValue(
@@ -139,6 +166,11 @@ def _print_table(reports, out):
              f"{'|zeta*(0)|':>14} {'rel err':>10} verdict"
     print(header, file=out)
     for r in reports:
+        if r.verdict == "error":
+            # blank columns, then the verdict under its header
+            print(f"{r.field:>6} {'':64} error in {r.stage}: {r.message}",
+                  file=out)
+            continue
         inv = r.invariants
         print(
             f"{inv.d:>6} {inv.h:>4} {inv.regulator:>14.10f} "
@@ -183,13 +215,13 @@ def _write_json(path, reports):
 
 
 def run(config: RunConfig, out=None):
-    """Verify every configured field.  Returns (exit_status, reports)."""
+    """Verify every configured field.  Returns (exit_status, reports); a
+    field whose verification raised gets an `ErrorReport`, and the sweep
+    goes on."""
     out = out if out is not None else sys.stdout
     config.validate()
     targets = config.resolved_targets()
-    if not targets:
-        raise ValueError("no targets: give --field and/or --range")
-    verify = functools.partial(verify_field, tol=config.tolerance)
+    verify = functools.partial(_verify, tol=config.tolerance)
     # the pool forks all its workers at once: no more than fields or cores
     workers = min(config.jobs, len(targets), os.cpu_count() or 1)
     if workers > 1:
@@ -204,17 +236,19 @@ def run(config: RunConfig, out=None):
         reports = list(map(verify, targets))
     if config.table:
         _print_table(reports, out)
+    verified = [r for r in reports if r.verdict != "error"]
     if config.show_profile:
-        for r in reports:
+        for r in verified:
             _print_profile(r, out)
     if config.json_path is not None:
         _write_json(config.json_path, reports)
-    n_pass = sum(r.passed for r in reports)
-    n_fail = len(reports) - n_pass
-    max_err = max(abs(r.ratio - 1) for r in reports)
-    print(f"{n_pass} passed, {n_fail} failed, "
+    n_pass = sum(r.passed for r in verified)
+    n_fail = len(verified) - n_pass
+    n_error = len(reports) - len(verified)
+    max_err = max((abs(r.ratio - 1) for r in verified), default=float("nan"))
+    print(f"{n_pass} passed, {n_fail} failed, {n_error} raised, "
           f"max relative error {max_err:.3e}", file=out)
-    return (0 if n_fail == 0 else 1), reports
+    return (0 if n_pass == len(reports) else 1), reports
 
 
 def _parse_field(text):
@@ -262,7 +296,9 @@ def main(argv=None):
         show_profile=args.show_profile,
     )
     try:
-        status, _ = run(config)
+        config.validate()
     except ValueError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
+    # a ValueError out of the sweep itself is a fault, not a usage error
+    status, _ = run(config)
     return status

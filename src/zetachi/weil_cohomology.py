@@ -82,11 +82,24 @@ class CohomologyProfile:
         """H^0..H^3 without supports: (Z, 0, same degree 2, Z/w)."""
         return (_Z, _ZERO, self.compact[2], self.compact[3])
 
+    @cached_property
+    def graded(self):
+        """The groups with zero real maps: with no unit rank the
+        psi-complex itself; a real field's swaps in its regulator."""
+        r = self.compact[1].free_rank
+        return GradedGroupComplex(
+            self.compact, (((),) * r, ((0.0,) * r,) * r, ()))
+
+    @cached_property
+    def chi(self):
+        """The Euler characteristic of `graded`, computed on the first
+        read; exact, and so defined, only when there is no unit rank."""
+        return euler_characteristic(self.graded)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
     invariants: QuadraticFieldInvariants
-    profile: CohomologyProfile
     chi: float
     chi_exact: Optional[Fraction]
     zeta_star: ZetaStarValue
@@ -100,25 +113,10 @@ class VerificationReport:
     def passed(self):
         return self.verdict == "pass"
 
-
-class _SharedProfile:
-    """What every field with one compact profile shares: the report's
-    profile, and its groups as a graded complex with zero real maps.  With
-    no unit rank that complex is the psi-complex itself, so its chi is
-    shared too; a real field's psi-complex replaces the maps by its own
-    regulator and keeps this complex's torsion product."""
-
-    def __init__(self, groups):
-        self.profile = CohomologyProfile(groups)
-        r = groups[1].free_rank
-        self.graded = GradedGroupComplex(
-            groups, (((),) * r, ((0.0,) * r,) * r, ()))
-
-    @cached_property
-    def chi(self):
-        """The Euler characteristic of `graded`, computed on the first
-        read; exact, and so defined, only when there is no unit rank."""
-        return euler_characteristic(self.graded)
+    @property
+    def profile(self):
+        """The shared record of the field's profile."""
+        return _shared_profile(self.invariants)
 
 
 @cache
@@ -128,9 +126,9 @@ def cohomology_profile(r, class_group_factors, w):
     factors of Cl and w.  Its groups are built and validated once per key,
     and the cache holds one entry per distinct profile however many fields
     share it."""
-    return _SharedProfile((_ZERO, _Z if r else _ZERO,
-                           FgAbGroup(r, class_group_factors),
-                           FgAbGroup.cyclic(w)))
+    return CohomologyProfile((_ZERO, _Z if r else _ZERO,
+                              FgAbGroup(r, class_group_factors),
+                              FgAbGroup.cyclic(w)))
 
 
 def _shared_profile(inv: QuadraticFieldInvariants):
@@ -143,7 +141,7 @@ def _shared_profile(inv: QuadraticFieldInvariants):
 def compact_support_profile(inv: QuadraticFieldInvariants):
     """H^0..H^3 with compact support: (0, Z^r, Z^r + Cl, Z/w) with r <= 1
     the unit rank; one shared tuple per profile."""
-    return _shared_profile(inv).profile.compact
+    return _shared_profile(inv).compact
 
 
 def psi_complex(inv: QuadraticFieldInvariants):
@@ -174,33 +172,49 @@ def validate_tolerance(tol):
                          f"got {tol!r}")
 
 
-def verify_field(d, tol: float = 1e-9) -> VerificationReport:
-    """Build the profile for one field, compute its Euler characteristic,
-    and compare with the analytic oracle.  Absolute values only: the sign
-    of chi is not asserted.  Where both sides are exact rationals (Q and
-    the imaginary fields), the verdict also requires them to be equal."""
-    validate_tolerance(tol)
-    t0 = time.perf_counter()
-    inv = field_invariants(d)
+def _chi(d, inv: QuadraticFieldInvariants):
+    """chi and, with no unit rank, its exact value, once |chi| = h*R/w is
+    checked."""
     r = inv.unit_rank
-    shared = _shared_profile(inv)
+    profile = _shared_profile(inv)
     try:
         # with no unit rank, chi is a function of the profile alone
-        chi = euler_characteristic(psi_complex(inv)[1]) if r else shared.chi
+        chi = euler_characteristic(psi_complex(inv)[1]) if r else profile.chi
     except ExactnessError as exc:
         raise PsiComplexNotExactError(
             f"log-absolute-value complex for d = {d!r} is not exact"
         ) from exc
-    chi_exact = None if r else shared.graded.torsion_product
     # checked on every field, a shared chi included
     hrw = inv.h * inv.regulator / inv.w
     if abs(abs(chi) - hrw) > _INTERNAL_TOL * hrw:
         raise InternalIdentityError(
             f"|chi| = {abs(chi)} but h*R/w = {hrw} for d = {d!r}"
         )
-    zstar = zeta_star_at_zero(d)
-    ratio = abs(chi) / abs(zstar.leading)
-    order_ok = zstar.order == r
+    return chi, None if r else profile.graded.torsion_product
+
+
+def verify_field(d, tol: float = 1e-9) -> VerificationReport:
+    """Build the profile for one field, compute its Euler characteristic,
+    and compare with the analytic oracle.  Absolute values only: the sign
+    of chi is not asserted.  Where both sides are exact rationals (Q and
+    the imaginary fields), the verdict also requires them to be equal.
+
+    An exception leaves with the stage that raised it, "invariants",
+    "chi" or "oracle", as its `stage` attribute."""
+    validate_tolerance(tol)
+    t0 = time.perf_counter()
+    stage = "invariants"
+    try:
+        inv = field_invariants(d)
+        stage = "chi"
+        chi, chi_exact = _chi(d, inv)
+        stage = "oracle"
+        zstar = zeta_star_at_zero(d)
+        ratio = abs(chi) / abs(zstar.leading)
+    except Exception as exc:
+        exc.stage = stage
+        raise
+    order_ok = zstar.order == inv.unit_rank
     # for Q and imaginary fields both sides are exact rationals, so beside
     # the tol gate they must also be equal
     exact_ok = chi_exact is None or chi_exact == -zstar.exact
@@ -209,7 +223,6 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         invariants=inv,
-        profile=shared.profile,
         chi=chi,
         chi_exact=chi_exact,
         zeta_star=zstar,

@@ -10,6 +10,7 @@ import pytest
 
 from zetachi import cli
 from zetachi.cli import (
+    ErrorReport,
     RunConfig,
     USAGE_ERROR,
     build_parser,
@@ -105,6 +106,72 @@ def test_run_range_parallel_batches_match_serial():
     serial = dicts(1)
     assert len(serial) == 39
     assert dicts(2) == serial
+
+
+def _raise_for(monkeypatch, name, bad):
+    """Make `weil_cohomology.<name>` raise for the field `bad` alone; a
+    pool forked after the patch inherits it."""
+    import zetachi.weil_cohomology as wc
+    real = getattr(wc, name)
+
+    def patched(arg):
+        if getattr(arg, "d", arg) == bad:
+            raise ValueError(f"{name} refused {bad}")
+        return real(arg)
+
+    monkeypatch.setattr(wc, name, patched)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name, stage", [
+    ("field_invariants", "invariants"),
+    ("psi_complex", "chi"),
+    ("zeta_star_at_zero", "oracle"),
+])
+def test_one_bad_field_does_not_end_the_sweep(monkeypatch, tmp_path, jobs,
+                                              name, stage):
+    targets = [RATIONAL_FIELD, 5, 12, -23, 229]  # in the sweep's order
+    expected = run(RunConfig(targets=targets), io.StringIO())[1]
+    _raise_for(monkeypatch, name, 229)
+    path = tmp_path / "reports.json"
+    out = io.StringIO()
+    status, reports = run(RunConfig(targets=targets, json_path=str(path),
+                                    jobs=jobs), out)
+    assert status == 1
+    message = f"ValueError: {name} refused 229"
+    assert reports[4] == ErrorReport(229, stage, message)
+    assert [r.invariants.d for r in reports[:4]] == targets[:4]
+    for r, e in zip(reports[:4], expected):
+        assert dataclasses.replace(r, elapsed_ms=e.elapsed_ms) == e
+    text = out.getvalue()
+    assert f"   229 {'':64} error in {stage}: {message}\n" in text
+    assert "4 passed, 0 failed, 1 raised" in text
+    obj = json.loads(path.read_text().splitlines()[5])
+    assert obj == {"field": 229, "verdict": "error",
+                   "error": {"stage": stage, "message": message}}
+    assert report_from_dict(obj) == reports[4]
+    assert report_to_dict(report_from_dict(obj)) == obj
+
+
+def test_main_exits_one_when_a_field_raises(monkeypatch, capsys):
+    # a ValueError inside one field is that field's error, not a usage error
+    _raise_for(monkeypatch, "field_invariants", 229)
+    assert main(["--field", "229", "--field", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "error in invariants: ValueError" in out
+    assert "1 passed, 0 failed, 1 raised" in out
+
+
+def test_every_field_raising_still_writes_a_summary(monkeypatch, capsys):
+    import zetachi.weil_cohomology as wc
+
+    def broken(d):
+        raise RuntimeError("no invariants")
+
+    monkeypatch.setattr(wc, "field_invariants", broken)
+    assert main(["--field", "5", "--field", "-23"]) == 1
+    assert "0 passed, 0 failed, 2 raised, max relative error nan" \
+        in capsys.readouterr().out
 
 
 def test_show_profile_output():

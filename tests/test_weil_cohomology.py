@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from zetachi.weil_cohomology import (
     CohomologyProfile,
     InternalIdentityError,
     PsiComplexNotExactError,
+    cohomology_profile,
     compact_support_profile,
     psi_complex,
     verify_field,
@@ -56,6 +58,20 @@ def test_profile_metadata_is_attached():
     profile = CohomologyProfile(compact_support_profile(field_invariants(5)))
     assert profile.metadata == WEIL_GROUP_H2_METADATA
     assert "not computed" in profile.metadata
+
+
+@pytest.mark.parametrize("d", [RATIONAL_FIELD, -23, 229])
+def test_report_profile_is_the_shared_record(d):
+    # a report stores no profile: it reads its field's one shared record,
+    # so a pickled report carries none and reads an equal one back
+    inv = field_invariants(d)
+    key = (inv.unit_rank, (inv.h,) if inv.h > 1 else (), inv.w)
+    report = verify_field(d)
+    assert report.profile is cohomology_profile(*key)
+    assert "profile" not in vars(report)
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report
+    assert copy.profile == report.profile
 
 
 def test_psi_complex_rational_and_imaginary():
@@ -189,8 +205,9 @@ def test_verify_non_exact_psi_complex_raises(monkeypatch):
     # a zero regulator makes the pairing map zero, so the complex is not exact
     broken = inv.__class__(**{**inv.__dict__, "regulator": 0.0})
     monkeypatch.setattr(wc, "field_invariants", lambda d: broken)
-    with pytest.raises(PsiComplexNotExactError):
+    with pytest.raises(PsiComplexNotExactError) as exc:
         wc.verify_field(5)
+    assert exc.value.stage == "chi"
 
 
 def test_verify_corpus_all_pass():
@@ -282,3 +299,22 @@ def test_verify_detects_oracle_mismatch():
         wc.field_invariants = original
     assert not report.passed
     assert report.ratio == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("field_invariants", "invariants"),
+    ("psi_complex", "chi"),
+    ("zeta_star_at_zero", "oracle"),
+])
+def test_verify_names_the_stage_that_raised(monkeypatch, name, stage):
+    # the exception itself leaves verify_field, tagged with its stage
+    import zetachi.weil_cohomology as wc
+
+    def broken(*args):
+        raise RuntimeError(f"{name} broke")
+
+    monkeypatch.setattr(wc, name, broken)
+    with pytest.raises(RuntimeError, match=f"{name} broke") as exc:
+        wc.verify_field(229)
+    assert exc.value.stage == stage
+
