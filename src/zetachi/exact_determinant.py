@@ -14,12 +14,15 @@ scales the factors at V_i and V_{i+1} by det M, once up and once down, so
 the value does not depend on the lifts.  Here b_i are the standard vectors
 e_J of the r_i pivot columns J of a complete-pivoting elimination of T_i,
 and the same elimination gives r_i and, run to the end, each determinant.
+With these lifts T_i b_i is read off as the columns J of T_i, and at a
+space that nothing maps onto, b_i is a permuted identity whose determinant
+is the sign of J, so no elimination is run there.
 
 A zero space contributes the empty determinant 1 and costs no linear
 algebra; a leading one still shifts the parity of the spaces after it, so
 (0, V, W) has the inverse determinant of (V, W).  The realified profile
 (0, R, R, 0) of a real quadratic field, with the regulator as its map, thus
-costs one 1 x 1 elimination and two 1 x 1 determinants and gives 1/R; the
+costs one 1 x 1 elimination and one 1 x 1 determinant and gives 1/R; the
 all-zero profile of Q or an imaginary field costs nothing.
 
 The Euler characteristic of a graded complex of finitely generated abelian
@@ -186,6 +189,13 @@ def _det(rows):
     return prod([p for _, p in pivots], start=1.0)
 
 
+def _permutation_sign(J):
+    """Determinant of the matrix with rows e_J, for J a permutation of
+    range(len(J)): -1 to the number of inversions of J."""
+    inversions = sum(x > y for k, x in enumerate(J) for y in J[k + 1:])
+    return -1.0 if inversions % 2 else 1.0
+
+
 def _mixed(b, rng):
     """The columns b times a random invertible matrix drawn from `rng`."""
     r = len(b)
@@ -215,11 +225,20 @@ def determinant_exact(C: BasedRealComplex, rng=None) -> float:
         if rng is not None:
             b = _mixed(b, rng)
         if d:
-            factor = _det(images + b)  # of the transpose, which is the same
+            if rng is None and not images:
+                # nothing maps in, so T_i has full rank and e_J is a
+                # permuted identity
+                factor = _permutation_sign(pivots)
+            else:
+                # of the transpose, which is the same
+                factor = _det(images + b)
             if factor == 0.0:
                 raise ExactnessError(f"the basis at V_{i} is singular")
             delta = delta * factor if i % 2 else delta / factor
-        images = [_times(C.maps[i], v) for v in b]
+        if rng is None:  # T e_J is the columns J of T
+            images = [tuple(row[j] for row in C.maps[i]) for j in pivots]
+        else:
+            images = [_times(C.maps[i], v) for v in b]
     return delta
 
 

@@ -3,8 +3,23 @@
 Class numbers come from reduced binary quadratic forms (counts of reduced
 forms in the imaginary case, cycles of reduced indefinite forms in the real
 case), fundamental units from the periodic continued fraction of the
-standard generator of the ring of integers.  The regulator of the unit
-(x + y*sqrt(d)) / 2 of norm N is computed in float64 as
+standard generator of the ring of integers.
+
+An indefinite form (a, b, c) of discriminant d = b^2 - 4ac > 0 is reduced
+when 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b (Cohen, GTM 138,
+5.6).  As d is not a square, with s = isqrt(d) that is the window
+
+    lo = (s - b + 2) // 2 <= |a| <= hi = (s + b) // 2.
+
+Since 2|a| * 2|c| = d - b^2 = (sqrt(d) - b)(sqrt(d) + b), |a| lies in the
+window exactly when |c| does.  Take a divisor pair a * c' = m = (d - b^2)/4
+with a <= sqrt(m) <= c': then 2a <= sqrt(d - b^2) < sqrt(d) + b, so a is
+in the window, and with it c', exactly when a >= lo.  The sweep therefore
+tries only the divisors lo <= a <= sqrt(m), and each one it finds gives
+reduced forms for both a and c'.
+
+The regulator of the unit (x + y*sqrt(d)) / 2 of norm N is computed in
+float64 as
 
     log x + log1p(sqrt(1 - 4N/x^2)) - log 2,
 
@@ -245,22 +260,25 @@ def _is_reduced_indefinite(a, b, c, d):
 
 
 def _reduced_forms_real(d):
-    """Reduced indefinite forms of discriminant d > 0, swept over b."""
+    """Reduced indefinite forms of discriminant d > 0, swept over b, then
+    over the divisors lo <= a <= sqrt(m) of m (module docstring).  Each
+    gives (+-a, b, -+c) and, when c != a, (+-c, b, -+a)."""
     forms = []
-    for b in range(2 - d % 2, isqrt(d) + 1, 2):
+    s = isqrt(d)
+    for b in range(2 - d % 2, s + 1, 2):
         m = (d - b * b) // 4  # = -a*c > 0
-        for a in range(1, isqrt(m) + 1):
+        for a in range((s - b + 2) // 2, isqrt(m) + 1):
             if m % a:
                 continue
-            for aa in {a, m // a}:
-                if _is_reduced_indefinite(aa, b, -(m // aa), d):
-                    forms.append((aa, b, -(m // aa)))
-                    forms.append((-aa, b, m // aa))
+            c = m // a
+            forms += [(a, b, -c), (-a, b, c)]
+            if c != a:
+                forms += [(c, b, -a), (-c, b, a)]
     return forms
 
 
 def _reduced_forms_real_recount(d):
-    """Same set swept over |a|, then b."""
+    """Same set swept over |a|, then b, each form tested whole."""
     forms = []
     s = isqrt(d)
     for a in range(1, s + 1):
@@ -283,24 +301,21 @@ def _rho(form, d, s):
     return (c, b2, c2)
 
 
-def _count_cycles(forms, d, *, backward=False):
-    forms = list(forms)
-    step = {f: _rho(f, d, isqrt(d)) for f in forms}
-    for f, g in step.items():
-        if g not in step:
-            raise AssertionError(f"reduction left the reduced set: {f} -> {g}")
-    if backward:
-        step = {g: f for f, g in step.items()}
-        forms = forms[::-1]
-    seen = set()
+def _count_cycles(forms, step):
+    """Cycles of `step` on `forms`, walked once: each form leaves the
+    unvisited set as the walk reaches it, and a step to a form outside that
+    set, other than the start of its own cycle, is an error."""
+    unvisited = set(forms)
     cycles = 0
-    for f in forms:
-        if f in seen:
-            continue
+    while unvisited:
+        start = f = unvisited.pop()
         cycles += 1
-        while f not in seen:
-            seen.add(f)
-            f = step[f]
+        while (g := step(f)) != start:
+            if g not in unvisited:
+                raise AssertionError(
+                    f"reduction left the reduced set: {f} -> {g}")
+            unvisited.remove(g)
+            f = g
     return cycles
 
 
@@ -316,7 +331,8 @@ def _class_count(d):
     """`enumerate_reduced_forms` for a d already known to be fundamental."""
     if d < 0:
         return len(_reduced_forms_imaginary(d))
-    return _count_cycles(_reduced_forms_real(d), d)
+    s = isqrt(d)
+    return _count_cycles(_reduced_forms_real(d), lambda f: _rho(f, d, s))
 
 
 def enumerate_reduced_forms_recount(d) -> int:
@@ -325,7 +341,10 @@ def enumerate_reduced_forms_recount(d) -> int:
     prime_discriminants(d)
     if d < 0:
         return len(_reduced_forms_imaginary_recount(d))
-    return _count_cycles(_reduced_forms_real_recount(d), d, backward=True)
+    forms = _reduced_forms_real_recount(d)
+    s = isqrt(d)
+    inverse = {_rho(f, d, s): f for f in forms}
+    return _count_cycles(forms, inverse.get)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 import zetachi.exact_determinant as ed
 from zetachi.abelian import FgAbGroup
+from zetachi.number_field import field_invariants, fundamental_discriminants
+from zetachi.weil_cohomology import psi_complex
 from zetachi.exact_determinant import (
     BasedRealComplex,
     GradedGroupComplex,
@@ -77,7 +79,9 @@ def test_single_nonzero_space_rejected():
 
 
 def test_internal_basis_independence(rng):
-    for ranks in [(1, 2), (2, 1, 2), (1, 3, 2)]:
+    # (2,) and (3,): the first space maps isomorphically onto the next, so
+    # the standard route reads its factor off the pivot order alone
+    for ranks in [(2,), (3,), (1, 2), (2, 1, 2), (1, 3, 2)]:
         dims, maps = random_exact_complex(rng, ranks)
         C = based(dims, maps)
         ref = determinant_exact(C)
@@ -86,6 +90,18 @@ def test_internal_basis_independence(rng):
             val = determinant_exact(C, rng=rng)
             assert rng.bit_generator.state != state  # the lifts were mixed
             assert abs(val - ref) <= 1e-9 * abs(ref)
+
+
+def test_first_space_factor_is_the_sign_of_its_pivot_order(rng):
+    # complete pivoting takes T's 2 first, so J = (1, 0), an odd order: the
+    # factor -1 at V_0 and det[T e_1 | T e_0] = -2 at V_1 give det T = 2
+    T = [[1.0, 0.0], [0.0, 2.0]]
+    assert ed._lifts(T) == (2, (1, 0))
+    for dims, maps, want in [((2, 2), [T], 2.0),
+                             ((0, 2, 2), [np.zeros((2, 0)), T], 0.5)]:
+        C = based(dims, maps)
+        assert determinant_exact(C) == want
+        assert determinant_exact(C, rng=rng) == pytest.approx(want, rel=1e-12)
 
 
 def test_base_change_covariance(rng):
@@ -215,7 +231,8 @@ def test_euler_characteristic_zero_complex_skips_linear_algebra(monkeypatch):
 def test_euler_characteristic_real_field_shape_call_counts(monkeypatch):
     # (0, Z, Z + Z/3, Z/2) with the regulator as the middle map [0.75]: one
     # 1 x 1 elimination for its rank and lift, and one 1 x 1 determinant at
-    # each of the two nonzero spaces
+    # the second nonzero space; nothing maps onto the first, whose factor is
+    # the sign of its lift
     lifts = mock.Mock(wraps=ed._lifts)
     det = mock.Mock(wraps=ed._det)
     monkeypatch.setattr(ed, "_lifts", lifts)
@@ -226,7 +243,14 @@ def test_euler_characteristic_real_field_shape_call_counts(monkeypatch):
     chi = euler_characteristic(GradedGroupComplex(groups, maps))
     assert abs(chi) == pytest.approx(3 * 0.75 / 2, rel=1e-15)
     assert [c.args[0] for c in lifts.call_args_list] == [((0.75,),)]
-    assert [c.args[0] for c in det.call_args_list] == [[(1.0,)], [(0.75,)]]
+    assert [c.args[0] for c in det.call_args_list] == [[(0.75,)]]
+
+
+def test_real_field_determinant_is_the_inverse_regulator():
+    # (0, R, R, 0) with the regulator as its map: exactly 1/R
+    for d in [d for d in fundamental_discriminants(300) if d > 0]:
+        inv = field_invariants(d)
+        assert determinant_exact(psi_complex(inv)[0]) == 1.0 / inv.regulator, d
 
 
 def test_euler_characteristic_times_three():

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zetachi.number_field as nf
 from zetachi.number_field import (
     RATIONAL_FIELD,
     DiscriminantError,
@@ -209,6 +210,38 @@ def test_reduced_forms_reject_non_fundamental():
 def test_recount_matches_over_corpus():
     for d in CORPUS:
         assert enumerate_reduced_forms(d) == enumerate_reduced_forms_recount(d), d
+
+
+def test_real_form_window_matches_recount_up_to_3000():
+    # the divisor window against the recount's sweep over |a|, which tests
+    # every candidate form whole, beyond the corpus
+    real = [d for d in fundamental_discriminants(3000) if d > 0]
+    assert len(real) == 909
+    for d in real:
+        forms = nf._reduced_forms_real(d)
+        assert len(set(forms)) == len(forms), d
+        assert set(forms) == set(nf._reduced_forms_real_recount(d)), d
+        assert enumerate_reduced_forms(d) == enumerate_reduced_forms_recount(d), d
+
+
+@pytest.mark.parametrize("d, h_plus", [(99989, 1), (299993, 1), (999997, 2)])
+def test_real_form_window_matches_recount_at_large_d(d, h_plus):
+    assert set(nf._reduced_forms_real(d)) \
+        == set(nf._reduced_forms_real_recount(d))
+    assert enumerate_reduced_forms(d) == h_plus
+    assert enumerate_reduced_forms_recount(d) == h_plus
+
+
+def test_cycle_walk_raises_when_a_step_leaves_the_reduced_set(monkeypatch):
+    # (1, 1, -57) has discriminant 229 but |a| = 1 lies below the window
+    # [8, 8] of b = 1, so it is not reduced; one form is sent there
+    rho = nf._rho
+    stray = min(nf._reduced_forms_real(229))
+    monkeypatch.setattr(nf, "_rho", lambda f, d, s:
+                        (1, 1, -57) if f == stray else rho(f, d, s))
+    for count in (enumerate_reduced_forms, enumerate_reduced_forms_recount):
+        with pytest.raises(AssertionError, match="left the reduced set"):
+            count(229)
 
 
 def test_continued_fraction_units():
