@@ -7,7 +7,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Optional
 
@@ -23,15 +23,23 @@ __all__ = ["RunConfig", "ErrorReport", "run", "main", "report_to_dict",
 USAGE_ERROR = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    targets: list = field(default_factory=list)  # ints and/or RATIONAL_FIELD
+    """What to verify and how; built only valid, and frozen, so a config
+    is checked once, when it is made."""
+
+    targets: tuple = ()  # ints and/or RATIONAL_FIELD
     range_bound: Optional[int] = None
     tolerance: float = 1e-9
     json_path: Optional[str] = None
     table: bool = True
     jobs: int = 1
     show_profile: bool = False
+
+    def __post_init__(self):
+        # a tuple, so that the checked targets cannot change either
+        object.__setattr__(self, "targets", tuple(self.targets))
+        self.validate()
 
     def validate(self):
         if not self.targets and self.range_bound is None:
@@ -219,7 +227,6 @@ def run(config: RunConfig, out=None):
     field whose verification raised gets an `ErrorReport`, and the sweep
     goes on."""
     out = out if out is not None else sys.stdout
-    config.validate()
     targets = config.resolved_targets()
     verify = functools.partial(_verify, tol=config.tolerance)
     # the pool forks all its workers at once: no more than fields or cores
@@ -286,17 +293,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        targets=args.field,
-        range_bound=args.range,
-        tolerance=args.tol,
-        json_path=args.json,
-        table=args.table or args.json is None,
-        jobs=args.jobs,
-        show_profile=args.show_profile,
-    )
     try:
-        config.validate()
+        config = RunConfig(
+            targets=args.field,
+            range_bound=args.range,
+            tolerance=args.tol,
+            json_path=args.json,
+            table=args.table or args.json is None,
+            jobs=args.jobs,
+            show_profile=args.show_profile,
+        )
     except ValueError as exc:
         parser.exit(USAGE_ERROR, f"{parser.prog}: error: {exc}\n")
     # a ValueError out of the sweep itself is a fault, not a usage error

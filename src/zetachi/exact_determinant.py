@@ -99,14 +99,6 @@ class GradedGroupComplex:
         """prod |torsion(A_i)| ^ (-1)^i, computed on the first read."""
         return torsion_alternating_product(self.groups)
 
-    def with_maps(self, realified_maps) -> "GradedGroupComplex":
-        """The same groups with other real maps.  The torsion product
-        depends on the groups alone, so the new complex takes this one's
-        instead of computing it again."""
-        other = GradedGroupComplex(self.groups, realified_maps)
-        other.__dict__["torsion_product"] = self.torsion_product
-        return other
-
 
 def _max_abs(T):
     return max(abs(x) for row in T for x in row)

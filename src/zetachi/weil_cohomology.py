@@ -84,17 +84,10 @@ class CohomologyProfile:
 
     @cached_property
     def graded(self):
-        """The groups with zero real maps: with no unit rank the
-        psi-complex itself; a real field's swaps in its regulator."""
-        r = self.compact[1].free_rank
-        return GradedGroupComplex(
-            self.compact, (((),) * r, ((0.0,) * r,) * r, ()))
-
-    @cached_property
-    def chi(self):
-        """The Euler characteristic of `graded`, computed on the first
-        read; exact, and so defined, only when there is no unit rank."""
-        return euler_characteristic(self.graded)
+        """The psi-complex of a profile without unit rank, whose groups are
+        all torsion, so every real map is 0 x 0; built on the first read.
+        Read only for such profiles."""
+        return GradedGroupComplex(self.compact, ((), (), ()))
 
 
 @dataclass(frozen=True)
@@ -154,11 +147,14 @@ def psi_complex(inv: QuadraticFieldInvariants):
     unit at that place.  With no unit rank the complex is the profile's
     shared one.  Returns (BasedRealComplex, GradedGroupComplex).
     """
-    graded = _shared_profile(inv).graded
+    profile = _shared_profile(inv)
     if inv.unit_rank:
         # Quadratic real case: one fundamental unit, first real place kept.
         # The unit exceeds 1 in that embedding, so the entry is the regulator.
-        graded = graded.with_maps((((),), ((inv.regulator,),), ()))
+        graded = GradedGroupComplex(profile.compact,
+                                    (((),), ((inv.regulator,),), ()))
+    else:
+        graded = profile.graded
     # built once: `euler_characteristic(graded)` reuses this realification
     return graded.realified, graded
 
@@ -175,22 +171,20 @@ def validate_tolerance(tol):
 def _chi(d, inv: QuadraticFieldInvariants):
     """chi and, with no unit rank, its exact value, once |chi| = h*R/w is
     checked."""
-    r = inv.unit_rank
-    profile = _shared_profile(inv)
+    graded = psi_complex(inv)[1]
     try:
-        # with no unit rank, chi is a function of the profile alone
-        chi = euler_characteristic(psi_complex(inv)[1]) if r else profile.chi
+        chi = euler_characteristic(graded)
     except ExactnessError as exc:
         raise PsiComplexNotExactError(
             f"log-absolute-value complex for d = {d!r} is not exact"
         ) from exc
-    # checked on every field, a shared chi included
+    # checked on every field, those sharing a profile's complex included
     hrw = inv.h * inv.regulator / inv.w
     if abs(abs(chi) - hrw) > _INTERNAL_TOL * hrw:
         raise InternalIdentityError(
             f"|chi| = {abs(chi)} but h*R/w = {hrw} for d = {d!r}"
         )
-    return chi, None if r else profile.graded.torsion_product
+    return chi, None if inv.unit_rank else graded.torsion_product
 
 
 def verify_field(d, tol: float = 1e-9) -> VerificationReport:

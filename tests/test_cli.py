@@ -36,6 +36,18 @@ def test_config_validate_rejects_bad_inputs():
     RunConfig(targets=[RATIONAL_FIELD, -4, 5]).validate()
 
 
+def test_config_is_checked_when_built_and_frozen():
+    # an invalid config cannot be built, and a built one cannot be changed
+    # into one, so run needs no check of its own
+    with pytest.raises(ValueError, match="not a fundamental discriminant"):
+        RunConfig(targets=[6])
+    config = RunConfig(targets=[5])
+    for name, value in (("targets", (6,)), ("jobs", 0), ("tolerance", 2.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert config.targets == (5,)
+
+
 def test_resolved_targets_order_and_dedup():
     config = RunConfig(targets=[5, RATIONAL_FIELD, -4, 5], range_bound=8)
     got = config.resolved_targets()
