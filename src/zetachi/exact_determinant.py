@@ -1,29 +1,42 @@
 """Determinants of based exact complexes of real vector spaces.
 
 Let V_0 -> V_1 -> ... -> V_n be an exact complex with maps T_i: V_i -> V_{i+1}
-and standard bases.  Let r_i be the rank of T_i and b_i a basis of lifts:
-r_i vectors that T_i maps onto a basis of its image.  By exactness
-T_{i-1} b_{i-1} is a basis of ker T_i, so [T_{i-1} b_{i-1} | b_i] is a basis
-of V_i, and the determinant of the complex is its torsion (Milnor,
-"Whitehead torsion", Bull. AMS 72, 1966, section 3),
+and standard bases.  Let b_i be lifts: vectors of V_i that T_i maps onto a
+basis of its image.  By exactness T_{i-1} b_{i-1} is a basis of ker T_i, so
+[T_{i-1} b_{i-1} | b_i] is a basis of V_i, and the determinant of the complex
+is its torsion (Milnor, "Whitehead torsion", Bull. AMS 72, 1966, section 3),
 
     prod_i det[T_{i-1} b_{i-1} | b_i] ^ (-1)^(i+1),
 
 with i the index of V_i in the complex as given.  Replacing b_i by b_i M
 scales the factors at V_i and V_{i+1} by det M, once up and once down, so
-the value does not depend on the lifts.  Here b_i are the standard vectors
-e_J of the r_i pivot columns J of a complete-pivoting elimination of T_i,
-and the same elimination gives r_i and, run to the end, each determinant.
-With these lifts T_i b_i is read off as the columns J of T_i, and at a
-space that nothing maps onto, b_i is a permuted identity whose determinant
-is the sign of J, so no elimination is run there.
+the value does not depend on the lifts.
 
-A zero space contributes the empty determinant 1 and costs no linear
-algebra; a leading one still shifts the parity of the spaces after it, so
-(0, V, W) has the inverse determinant of (V, W).  The realified profile
-(0, R, R, 0) of a real quadratic field, with the regulator as its map, thus
-costs one 1 x 1 elimination and one 1 x 1 determinant and gives 1/R; the
-all-zero profile of Q or an imaginary field costs nothing.
+One walk along the complex chooses the lifts and reads every factor off
+the elimination that chose them, a product of minors chosen along the
+complex (Turaev, "Introduction to combinatorial torsions", 2001, ch. I).
+The lifts are standard vectors e_J: J_0 is all of V_0, so the factor at
+V_0 is det I = 1.  At each map the columns J_i of T_i, which are
+T_i e_{J_i}, are eliminated with complete pivoting, and J_{i+1} is the
+ascending list of the coordinates of V_{i+1} that hold no pivot.  Moving
+the pivot columns of [T_i e_{J_i} | e_{J_{i+1}}]^T to the front, in pivot
+order, leaves the unit rows e_{J_{i+1}} as an identity block below a zero
+block, so the factor at V_{i+1} is the determinant of the eliminated block:
+the product of the elimination's pivots, each signed by the parity of the
+swaps that brought it to the front.
+
+The same walk decides exactness.  Suppose each elimination has a pivot for
+every column it is given, the last space has no coordinate left over, and
+consecutive maps compose to zero.  Then V_i is spanned by T_{i-1} e_{J_{i-1}},
+which T_i kills, and by e_{J_i}, on which T_i is injective, so
+ker T_i = im T_{i-1}; T_0 is injective and the last map is onto.
+
+A zero space has no lifts and costs no linear algebra; a leading one still
+shifts the parity of the spaces after it, so (0, V, W) has the inverse
+determinant of (V, W).  The realified profile (0, R, R, 0) of a real
+quadratic field, with the regulator as its map, thus costs one 1 x 1
+elimination and gives 1/R; the all-zero profile of Q or an imaginary field
+costs nothing.
 
 The Euler characteristic of a graded complex of finitely generated abelian
 groups is the alternating product of torsion orders divided by this
@@ -35,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 from operator import mul
 
 __all__ = [
@@ -57,12 +70,15 @@ class ExactnessError(ValueError):
 
 def _as_maps(dims, maps):
     """Each map as a tuple of float row tuples, T_i of shape dims[i + 1] x
-    dims[i]; any nested rows, numpy arrays included, are accepted."""
+    dims[i] with finite entries; any nested rows, numpy arrays included, are
+    accepted."""
     out = []
     for i, T in enumerate(maps):
         rows = tuple(tuple(map(float, row)) for row in T)
         if len(rows) != dims[i + 1] or any(len(row) != dims[i] for row in rows):
             raise ValueError(f"map {i} must be {dims[i + 1]} x {dims[i]}")
+        if not all(isfinite(x) for row in rows for x in row):
+            raise ValueError(f"map {i} has an entry that is not finite")
         out.append(rows)
     return tuple(out)
 
@@ -136,40 +152,43 @@ def _eliminate(T, cutoff):
     return pivots
 
 
-def _lifts(T):
-    """Rank r of a nonempty T and the r pivot columns J of its elimination:
-    T maps e_J onto a basis of its image.  A pivot counts when it exceeds
-    RANK_TOL times max |t_ij|."""
-    pivots = _eliminate(T, RANK_TOL * _max_abs(T))
-    return len(pivots), tuple(j for j, _ in pivots)
-
-
-def _split(C):
-    """(rank, pivot columns) of each map; a map from or to a zero space has
-    rank 0 and costs no elimination."""
-    return [_lifts(T) if C.dims[i] and C.dims[i + 1] else (0, ())
-            for i, T in enumerate(C.maps)]
-
-
-def _is_exact(C, ranks):
-    """Consecutive maps compose to zero and r_{i-1} + r_i = dim V_i at every
-    space, with r = 0 off both ends."""
-    r = (0, *ranks, 0)
-    if any(r[i] + r[i + 1] != d for i, d in enumerate(C.dims)):
-        return False
+def _chain(C):
+    """The walk along C: for each space V_i its lifts J_i and its factor,
+    the product of the signed pivots of the elimination of T_{i-1} e_{J_{i-1}},
+    or None when C is not exact.  A pivot counts when it exceeds RANK_TOL
+    times max |t_ij|; a map from or to a zero space costs no elimination."""
+    J = list(range(C.dims[0] if C.dims else 0))
+    walk = [(J, 1.0)]
+    for T, d in zip(C.maps, C.dims[1:]):
+        pivots = []
+        if J and d:
+            columns = list(zip(*T))
+            pivots = _eliminate([columns[j] for j in J], RANK_TOL * _max_abs(T))
+        if len(pivots) < len(J):
+            return None
+        J = list(range(d))
+        factor = 1.0
+        for j, p in pivots:
+            J.remove(j)
+            factor *= p
+        walk.append((J, factor))
+    if J:
+        return None
     for i in range(len(C.maps) - 1):
         if C.dims[i] and C.dims[i + 1] and C.dims[i + 2]:
             A, B = C.maps[i], C.maps[i + 1]
             scale = max(_max_abs(B), 1.0) * max(_max_abs(A), 1.0)
             worst = max(abs(y) for col in zip(*A) for y in _times(B, col))
             if worst > RANK_TOL * scale * C.dims[i + 1]:
-                return False
-    return True
+                return None
+    return walk
 
 
 def check_exact(C: BasedRealComplex) -> bool:
-    """True iff the based complex is exact (ranks from complete pivoting)."""
-    return _is_exact(C, [r for r, _ in _split(C)])
+    """True iff the based complex is exact: the walk that gives the
+    determinant finds a pivot for every lift, leaves no coordinate of the
+    last space over, and consecutive maps compose to zero."""
+    return _chain(C) is not None
 
 
 def _det(rows):
@@ -179,13 +198,6 @@ def _det(rows):
     if len(pivots) < len(rows):
         return 0.0
     return prod([p for _, p in pivots], start=1.0)
-
-
-def _permutation_sign(J):
-    """Determinant of the matrix with rows e_J, for J a permutation of
-    range(len(J)): -1 to the number of inversions of J."""
-    inversions = sum(x > y for k, x in enumerate(J) for y in J[k + 1:])
-    return -1.0 if inversions % 2 else 1.0
 
 
 def _mixed(b, rng):
@@ -199,38 +211,28 @@ def _mixed(b, rng):
 
 
 def determinant_exact(C: BasedRealComplex, rng=None) -> float:
-    """Determinant of a based exact complex.
+    """Determinant of a based exact complex: the walk's factor at each V_i,
+    the product of the signed pivots there, with exponent (-1)^(i+1).
 
-    `rng`, when given, mixes each basis of lifts by a random invertible
-    matrix; the result does not depend on that choice.
+    `rng`, when given, mixes each basis of lifts e_J by a random invertible
+    matrix and takes each factor as a full determinant instead; the result
+    does not depend on that choice.
     """
-    if not any(C.dims):
-        return 1.0  # every space is zero: the empty product
-    split = _split(C)
-    if not _is_exact(C, [r for r, _ in split]):
+    walk = _chain(C)
+    if walk is None:
         raise ExactnessError("complex is not exact")
     delta = 1.0
-    images = []  # the lifts at the space before, mapped into this one
-    # the last space has no map out, so no lifts
-    for i, (d, (_, pivots)) in enumerate(zip(C.dims, [*split, (0, ())])):
-        b = [(0.0,) * j + (1.0,) + (0.0,) * (d - j - 1) for j in pivots]
+    images = []  # with `rng`, T_{i-1} b_{i-1} at V_i
+    for i, ((J, factor), T) in enumerate(zip(walk, (*C.maps, ()))):
         if rng is not None:
-            b = _mixed(b, rng)
-        if d:
-            if rng is None and not images:
-                # nothing maps in, so T_i has full rank and e_J is a
-                # permuted identity
-                factor = _permutation_sign(pivots)
-            else:
-                # of the transpose, which is the same
-                factor = _det(images + b)
-            if factor == 0.0:
-                raise ExactnessError(f"the basis at V_{i} is singular")
-            delta = delta * factor if i % 2 else delta / factor
-        if rng is None:  # T e_J is the columns J of T
-            images = [tuple(row[j] for row in C.maps[i]) for j in pivots]
-        else:
-            images = [_times(C.maps[i], v) for v in b]
+            d = C.dims[i]
+            b = _mixed([(0.0,) * j + (1.0,) + (0.0,) * (d - j - 1) for j in J],
+                       rng)
+            factor = _det(images + b)  # of the transpose, which is the same
+            images = [_times(T, v) for v in b]
+        if factor == 0.0:  # singular, or a product of pivots that underflows
+            raise ExactnessError(f"the factor at V_{i} is 0")
+        delta = delta * factor if i % 2 else delta / factor
     return delta
 
 

@@ -63,7 +63,8 @@ def rng():
 @pytest.fixture
 def fresh_profiles():
     """An empty profile cache before the test and after it, so that counts
-    start from nothing and an injected fault leaves no cached chi behind."""
+    start from nothing and an injected fault leaves no shared profile
+    behind."""
     from zetachi.weil_cohomology import cohomology_profile
     cohomology_profile.cache_clear()
     yield cohomology_profile

@@ -79,8 +79,8 @@ def test_single_nonzero_space_rejected():
 
 
 def test_internal_basis_independence(rng):
-    # (2,) and (3,): the first space maps isomorphically onto the next, so
-    # the standard route reads its factor off the pivot order alone
+    # (2,) and (3,): one isomorphism, whose single elimination gives the
+    # whole determinant on the standard route
     for ranks in [(2,), (3,), (1, 2), (2, 1, 2), (1, 3, 2)]:
         dims, maps = random_exact_complex(rng, ranks)
         C = based(dims, maps)
@@ -92,11 +92,10 @@ def test_internal_basis_independence(rng):
             assert abs(val - ref) <= 1e-9 * abs(ref)
 
 
-def test_first_space_factor_is_the_sign_of_its_pivot_order(rng):
-    # complete pivoting takes T's 2 first, so J = (1, 0), an odd order: the
-    # factor -1 at V_0 and det[T e_1 | T e_0] = -2 at V_1 give det T = 2
+def test_out_of_order_pivots_give_the_exact_determinant(rng):
+    # complete pivoting takes T's 2 before its 1; the signed pivots carry
+    # that order, so det T = 2 and the shifted complex 1/2 come out exactly
     T = [[1.0, 0.0], [0.0, 2.0]]
-    assert ed._lifts(T) == (2, (1, 0))
     for dims, maps, want in [((2, 2), [T], 2.0),
                              ((0, 2, 2), [np.zeros((2, 0)), T], 0.5)]:
         C = based(dims, maps)
@@ -168,20 +167,22 @@ def pad(dims, maps, lead, trail):
 @pytest.mark.parametrize("trail", range(3))
 def test_zero_end_padding(rng, monkeypatch, lead, trail):
     # a zero space is exact and costs no linear algebra; each leading one
-    # inverts the determinant
-    lifts = mock.Mock(wraps=ed._lifts)
+    # inverts the determinant.  Every map between nonzero spaces costs one
+    # elimination, and no full determinant is taken
+    eliminate = mock.Mock(wraps=ed._eliminate)
     det = mock.Mock(wraps=ed._det)
-    monkeypatch.setattr(ed, "_lifts", lifts)
+    monkeypatch.setattr(ed, "_eliminate", eliminate)
     monkeypatch.setattr(ed, "_det", det)
 
     def det_and_cost(C):
-        lifts.reset_mock()
+        eliminate.reset_mock()
         det.reset_mock()
-        return determinant_exact(C), (lifts.call_count, det.call_count)
+        return determinant_exact(C), (eliminate.call_count, det.call_count)
 
     for ranks in [(1,), (2,), (2, 1), (1, 3, 2), (2, 1, 2, 1)]:
         dims, maps = random_exact_complex(rng, ranks)
         ref, ref_cost = det_and_cost(based(dims, maps))
+        assert ref_cost == (len(maps), 0)
         C = pad(dims, maps, lead, trail)
         assert check_exact(C)
         value, cost = det_and_cost(C)
@@ -220,7 +221,7 @@ def test_euler_characteristic_zero_complex_skips_linear_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("linear algebra on an all-zero complex")
 
-    monkeypatch.setattr(ed, "_lifts", refuse)
+    monkeypatch.setattr(ed, "_eliminate", refuse)
     monkeypatch.setattr(ed, "_det", refuse)
     groups = (FgAbGroup.trivial(), FgAbGroup.trivial(),
               FgAbGroup.cyclic(6), FgAbGroup.cyclic(4))
@@ -230,20 +231,19 @@ def test_euler_characteristic_zero_complex_skips_linear_algebra(monkeypatch):
 
 def test_euler_characteristic_real_field_shape_call_counts(monkeypatch):
     # (0, Z, Z + Z/3, Z/2) with the regulator as the middle map [0.75]: one
-    # 1 x 1 elimination for its rank and lift, and one 1 x 1 determinant at
-    # the second nonzero space; nothing maps onto the first, whose factor is
-    # the sign of its lift
-    lifts = mock.Mock(wraps=ed._lifts)
+    # 1 x 1 elimination, whose pivot is the factor at the second nonzero
+    # space, and no full determinant
+    eliminate = mock.Mock(wraps=ed._eliminate)
     det = mock.Mock(wraps=ed._det)
-    monkeypatch.setattr(ed, "_lifts", lifts)
+    monkeypatch.setattr(ed, "_eliminate", eliminate)
     monkeypatch.setattr(ed, "_det", det)
     groups = (FgAbGroup.trivial(), FgAbGroup.free(1),
               FgAbGroup(1, (3,)), FgAbGroup.cyclic(2))
     maps = (np.zeros((1, 0)), np.array([[0.75]]), np.zeros((0, 1)))
     chi = euler_characteristic(GradedGroupComplex(groups, maps))
     assert abs(chi) == pytest.approx(3 * 0.75 / 2, rel=1e-15)
-    assert [c.args[0] for c in lifts.call_args_list] == [((0.75,),)]
-    assert [c.args[0] for c in det.call_args_list] == [[(0.75,)]]
+    assert [c.args[0] for c in eliminate.call_args_list] == [[(0.75,)]]
+    assert not det.called
 
 
 def test_real_field_determinant_is_the_inverse_regulator():
@@ -301,17 +301,66 @@ def test_map_of_wrong_shape_rejected():
         based((2, 2), [[[1.0, 0.0], [0.0]]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_rejected(bad):
+    # T_1 T_0 = (0, bad): a nan would slip past the composition check, whose
+    # max skips it and whose comparison with it is False
+    dims = (1, 3, 2)
+    maps = ([[1.0], [0.0], [0.0]], [[0.0, 1.0, 0.0], [bad, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="map 1 has an entry that is not"):
+        based(dims, maps)
+    G = GradedGroupComplex(tuple(FgAbGroup.free(d) for d in dims), maps)
+    with pytest.raises(ValueError, match="map 1 has an entry that is not"):
+        G.realified
+
+
+def test_check_exact_iff_determinant_returns(rng):
+    # one notion of exactness: random exact complexes, some with one map
+    # perturbed by 1e-6, and a complex whose ranks fit and whose maps
+    # compose to 1e-11 but whose image misses the kernel
+    def returns(C):
+        try:
+            determinant_exact(C)
+        except ExactnessError:
+            return False
+        return True
+
+    cases = [pad((1, 2, 1), [[[1.0], [0.0]], [[1e-11, 0.0]]], lead, 0)
+             for lead in range(2)]
+    for _ in range(500):
+        ranks = tuple(int(r) for r in rng.integers(0, 4, size=rng.integers(1, 6)))
+        dims, maps = random_exact_complex(rng, ranks)
+        maps = list(maps)
+        if rng.random() < 0.5:
+            i = int(rng.integers(len(maps)))
+            maps[i] = maps[i] + 1e-6 * rng.uniform(-1.0, 1.0, maps[i].shape)
+        lead, trail = (int(k) for k in rng.integers(0, 3, size=2))
+        cases.append(pad(dims, maps, lead, trail))
+    verdicts = [check_exact(C) for C in cases]
+    assert [returns(C) for C in cases] == verdicts
+    assert not any(verdicts[:2]) and True in verdicts and False in verdicts[2:]
+
+
 def test_singular_determinant_factor_raises_exactness_error():
     # T_1 T_0 = 1e-11 passes the composition check, whose scale is at least
-    # 1, but T_0 e_0 and the lift e_0 of T_1 coincide, so the factor at the
-    # middle space is 0; without a leading zero space it would multiply the
-    # determinant to 0, with one it would divide by 0
+    # 1, and the ranks (1, 1) fit the dimensions, but im T_0 = <e_0> while
+    # ker T_1 = <e_1>: the only lift e_1 left by T_0's pivot is killed by
+    # T_1, so the factor at the middle space would be 0, and the walk
+    # rejects the complex
     maps = [[[1.0], [0.0]], [[1e-11, 0.0]]]
     for lead in range(2):
         C = pad((1, 2, 1), maps, lead, 0)
-        assert check_exact(C)
-        with pytest.raises(ExactnessError, match="singular"):
+        assert not check_exact(C)
+        with pytest.raises(ExactnessError):
             determinant_exact(C)
+    # an exact complex whose factor underflows to 0 raises too, on both
+    # routes, rather than returning 0 or dividing by it
+    for lead in range(2):
+        C = pad((3, 3), [np.diag([1e-200] * 3)], lead, 0)
+        assert check_exact(C)
+        for rng in (None, np.random.default_rng(0)):
+            with pytest.raises(ExactnessError, match=f"factor at V_{lead + 1}"):
+                determinant_exact(C, rng=rng)
 
 
 def svd_rank(T):
@@ -319,21 +368,28 @@ def svd_rank(T):
     return int(np.count_nonzero(sv > ed.RANK_TOL * sv[0]))
 
 
+def walk_pivot_columns(T):
+    """The pivot columns of the walk's elimination of T's columns, at its
+    cutoff RANK_TOL times max |t_ij|."""
+    cutoff = ed.RANK_TOL * np.abs(T).max()
+    return [j for j, _ in ed._eliminate([tuple(c) for c in T.T], cutoff)]
+
+
 def test_lifts_rank_matches_svd_rank(rng):
-    # random rank-k products B C up to 6 x 6: the pivot columns J carry the
-    # rank, T e_J has full column rank, and scaling T by 1e+-100 changes
-    # neither
+    # random rank-k products B C up to 6 x 6: the walk's elimination finds
+    # one pivot per unit of rank, the rows J of T have full row rank, and
+    # scaling T by 1e+-100 changes neither the count nor the columns
     for m in range(1, 7):
         for n in range(1, 7):
             for k in range(min(m, n) + 1):
                 T = (rng.uniform(-1.0, 1.0, size=(m, k))
                      @ rng.uniform(-1.0, 1.0, size=(k, n)))
-                r, J = ed._lifts(T)
-                assert r == len(J) == svd_rank(T) == k, (m, n, k)
+                J = walk_pivot_columns(T)
+                assert len(J) == svd_rank(T) == k, (m, n, k)
                 if k:
-                    assert svd_rank(T[:, list(J)]) == k
+                    assert svd_rank(T[J, :]) == k
                 for s in (1e-100, 1e100):
-                    assert ed._lifts(T * s) == (r, J), (m, n, k, s)
+                    assert walk_pivot_columns(T * s) == J, (m, n, k, s)
 
 
 def test_nearly_singular_map_rejected(rng):

@@ -270,20 +270,22 @@ def test_chi_tracks_altered_invariants():
 
 
 def test_internal_identity_guard_fires(monkeypatch, fresh_profiles):
-    # the cache starts empty, so the fault reaches every profile's chi
+    # the profile cache starts empty, and every field, first of its profile
+    # or not, takes chi from the faulty euler_characteristic
     import zetachi.weil_cohomology as wc
     real = wc.euler_characteristic
     monkeypatch.setattr(wc, "euler_characteristic", lambda g: 2 * real(g))
-    # -31 shares -23's profile: its chi comes from the cache and still fails
+    # -31 shares -23's profile: chi is computed again from that profile's
+    # shared complex and still fails
     for d in (RATIONAL_FIELD, -23, -31, 5):
         with pytest.raises(InternalIdentityError, match="h\\*R/w"):
             wc.verify_field(d)
 
 
-def test_internal_identity_guard_fires_on_cached_chi(monkeypatch,
-                                                     fresh_profiles):
-    # a cache that served -23's chi (h = 3) to a field whose h reads 4
-    # must not pass: the guard checks every field against its own h*R/w
+def test_internal_identity_guard_fires_on_a_shared_profile(monkeypatch,
+                                                           fresh_profiles):
+    # -23's profile (h = 3) handed to a field whose h reads 4 must not
+    # pass: the guard checks every field against its own h*R/w
     import zetachi.weil_cohomology as wc
     inv = field_invariants(-23)
     assert wc.verify_field(-23).chi == 1.5
