@@ -336,9 +336,10 @@ def complex_cohomology(C: CochainComplex, q: int) -> FgAbGroup:
     bound mod the prime, rk d_q equals it.  Otherwise (an H^q with a free
     part, or a map whose rank drops mod the prime) rk d_q is the length of
     d_q's Smith diagonal.  For a finite group's complex and q >= 1, |G|
-    kills H^q, so it has no free part and the bound is rk d_q over Q; the
-    code does not assume this.  The boundary off either end of the
-    complex is the zero map.
+    kills H^q, so it has no free part and the bound is rk d_q over Q; this
+    function does not assume that, since it serves any complex, but
+    `group_cohomology_q` does, and never builds d_q.  The boundary off
+    either end of the complex is the zero map.
     """
     if not 0 <= q < len(C.dims):
         raise ValueError(f"degree {q} outside complex of length {len(C.dims)}")

@@ -282,11 +282,16 @@ def group_cohomology_q(G: FiniteGroup, A: GModuleAction, q: int,
                        complex_builder=build_homogeneous_complex) -> FgAbGroup:
     """H^q of the finite group G with coefficients in the given action.
 
-    Each call builds and checks a fresh complex in degrees 0..q+1.  For
-    several degrees of one (G, A), build once with `build_*_complex` and
-    read each degree with `complex_cohomology`.
+    Each call builds and checks a fresh complex in degrees 0..max(q, 1),
+    so `TERM_BUDGET` bounds only those terms.  For q >= 1, |G| kills H^q
+    (Brown, Cohomology of Groups, GTM 87, III.10.1), so H^q has no free
+    part.  ker d_q is saturated and contains im d_{q-1}, hence H^q is the
+    torsion of coker d_{q-1}: it is read at the complex's top degree, and
+    d_q is never formed.  H^0 keeps d_0 and its rank.  For several degrees
+    of one (G, A), build once with `build_*_complex` and read each degree
+    with `complex_cohomology`.
     """
     if q < 0:
         raise ValueError("degree must be non-negative")
-    C = complex_builder(G, A, q + 1)
-    return complex_cohomology(C, q)
+    H = complex_cohomology(complex_builder(G, A, max(q, 1)), q)
+    return H if q == 0 else FgAbGroup(0, H.invariant_factors)

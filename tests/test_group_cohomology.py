@@ -238,3 +238,44 @@ def test_p_max_precondition():
     G = cyclic_group(2)
     with pytest.raises(ValueError):
         build_homogeneous_complex(G, trivial_action(G), 0)
+
+
+@pytest.mark.parametrize("G,A", builder_cases())
+def test_group_cohomology_q_equals_full_complex_route(G, A):
+    # the torsion of coker d_(q-1), read at the top degree, against
+    # complex_cohomology on a complex that also has d_q (and for q >= 1
+    # certifies its rank, so nothing about |G| is assumed there)
+    p_max = 4 if G.order * A.rank <= 12 else 3
+    for build in (build_homogeneous_complex, build_inhomogeneous_complex):
+        C = build(G, A, p_max)
+        for q in range(p_max):
+            assert group_cohomology_q(G, A, q, complex_builder=build) \
+                == complex_cohomology(C, q), (build.__name__, q)
+
+
+@pytest.mark.parametrize("build", [build_homogeneous_complex,
+                                   build_inhomogeneous_complex])
+def test_group_cohomology_q_builds_no_degree_above_max_q_1(build):
+    G = cyclic_group(3)
+    A = trivial_action(G)
+    seen = []
+
+    def spy(G, A, p_max):
+        seen.append(p_max)
+        return build(G, A, p_max)
+
+    got = [group_cohomology_q(G, A, q, complex_builder=spy) for q in range(4)]
+    assert seen == [1, 1, 2, 3]
+    assert got == [FgAbGroup.free(1), FgAbGroup.trivial(),
+                   FgAbGroup.cyclic(3), FgAbGroup.trivial()]
+
+
+def test_budget_bounds_only_the_terms_built():
+    # H^2(C28, Z) needs degrees 0..2, whose largest term has 28^2 = 784
+    # rows; the 21 952-row degree-3 term is over the budget and never built
+    G = cyclic_group(28)
+    A = trivial_action(G)
+    assert 28 ** 3 > TERM_BUDGET
+    assert group_cohomology_q(G, A, 2) == FgAbGroup.cyclic(28)
+    with pytest.raises(BudgetExceededError, match="degree-3 term has rank 21952"):
+        group_cohomology_q(G, A, 3)
