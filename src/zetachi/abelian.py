@@ -5,13 +5,9 @@ cohomology of integer cochain complexes by the rank formula
 H^q = Z^{n_q - rk d_q - rk d_{q-1}} + tors(coker d_{q-1}).  Matrices are
 stored sparse, one {column: value} dict of nonzeros per row; the composition
 check and the one elimination engine, which gives the Smith diagonal
-without transforms for both presentations and cohomology, read those rows
-as stored.  Of the out-map d_q only the rank is needed.  As d_q d_{q-1} = 0,
-rk d_q is at most n_q - rk d_{q-1}; a rank mod the prime 2^31 - 1 never
-exceeds the rank over Q, so an elimination mod that prime which reaches the
-bound proves rk d_q equal to it, and stops there.  Where the bound is not
-reached (an H^q with a free part, or a rank that drops mod the prime), the
-Smith engine gives rk d_q.  Everything is exact Python-integer arithmetic.
+without transforms for presentations and for every rank and torsion factor
+of cohomology, read those rows as stored.  Everything is exact
+Python-integer arithmetic.
 """
 
 from __future__ import annotations
@@ -271,46 +267,6 @@ def _snf_diagonal(M: IntMatrix) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rank certificate
-
-
-_RANK_PRIME = 2**31 - 1
-
-
-def _rank_mod_p(M: IntMatrix, stop: int) -> int:
-    """Rank of M over Z/_RANK_PRIME, counted no further than `stop`.
-
-    Rows are taken last first; on the finite-group complexes that needs
-    about a tenth of the reductions of stored order.  Each row is reduced
-    mod the prime on its least column against the rows kept so far, each
-    kept row scaled to lead with 1, until that column leads no kept row;
-    then the row is kept, or dropped once it is zero.  The count stops as
-    soon as it reaches `stop`.
-    """
-    p = _RANK_PRIME
-    lead = {}
-    for r in reversed(M.nonzeros):
-        if len(lead) >= stop:
-            break
-        r = {c: v % p for c, v in r.items() if v % p}
-        while r:
-            c = min(r)
-            s = lead.get(c)
-            if s is None:
-                inv = pow(r[c], -1, p)
-                lead[c] = {k: v * inv % p for k, v in r.items()}
-                break
-            f = r[c]
-            for k, v in s.items():  # r -= f * s; entry c cancels
-                w = (r.get(k, 0) - f * v) % p
-                if w:
-                    r[k] = w
-                else:
-                    del r[k]
-    return len(lead)
-
-
-# ---------------------------------------------------------------------------
 # groups from presentations, cohomology of complexes
 
 
@@ -329,26 +285,13 @@ def complex_cohomology(C: CochainComplex, q: int) -> FgAbGroup:
 
     Because ker d_q is saturated in Z^{n_q}, this is
     Z^{n_q - rk d_q - rk d_{q-1}} + tors(coker d_{q-1}).  The in-map's
-    Smith diagonal gives rk d_{q-1} and the torsion.  Of the out-map only
-    the rank is needed.  As d_q d_{q-1} = 0 (checked when C was built),
-    im d_{q-1} lies in ker d_q, so rk d_q <= n_q - rk d_{q-1}.  A rank mod
-    _RANK_PRIME never exceeds the rank over Q, so when d_q's rows reach that
-    bound mod the prime, rk d_q equals it.  Otherwise (an H^q with a free
-    part, or a map whose rank drops mod the prime) rk d_q is the length of
-    d_q's Smith diagonal.  For a finite group's complex and q >= 1, |G|
-    kills H^q, so it has no free part and the bound is rk d_q over Q; this
-    function does not assume that, since it serves any complex, but
-    `group_cohomology_q` does, and never builds d_q.  The boundary off
-    either end of the complex is the zero map.
+    Smith diagonal gives rk d_{q-1} and the torsion; the out-map's gives
+    rk d_q.  The boundary off either end of the complex is the zero map.
     """
     if not 0 <= q < len(C.dims):
         raise ValueError(f"degree {q} outside complex of length {len(C.dims)}")
     diag_in = _snf_diagonal(C.boundaries[q - 1]) if q > 0 else ()
-    rank_out = 0
-    if q < len(C.boundaries):
-        out, bound = C.boundaries[q], C.dims[q] - len(diag_in)
-        certified = _rank_mod_p(out, bound) == bound
-        rank_out = bound if certified else len(_snf_diagonal(out))
+    rank_out = len(_snf_diagonal(C.boundaries[q])) if q < len(C.boundaries) else 0
     return FgAbGroup(
         free_rank=C.dims[q] - rank_out - len(diag_in),
         invariant_factors=tuple(d for d in diag_in if d > 1),

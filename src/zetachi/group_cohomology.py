@@ -287,9 +287,9 @@ def group_cohomology_q(G: FiniteGroup, A: GModuleAction, q: int,
     (Brown, Cohomology of Groups, GTM 87, III.10.1), so H^q has no free
     part.  ker d_q is saturated and contains im d_{q-1}, hence H^q is the
     torsion of coker d_{q-1}: it is read at the complex's top degree, and
-    d_q is never formed.  H^0 keeps d_0 and its rank.  For several degrees
-    of one (G, A), build once with `build_*_complex` and read each degree
-    with `complex_cohomology`.
+    d_q is never formed.  H^0 reads rk d_0 off its Smith diagonal.  For
+    several degrees of one (G, A), build once with `build_*_complex` and
+    read each degree with `complex_cohomology`.
     """
     if q < 0:
         raise ValueError("degree must be non-negative")

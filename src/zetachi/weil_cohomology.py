@@ -189,9 +189,10 @@ def _chi(d, inv: QuadraticFieldInvariants):
 
 def verify_field(d, tol: float = 1e-9) -> VerificationReport:
     """Build the profile for one field, compute its Euler characteristic,
-    and compare with the analytic oracle.  Absolute values only: the sign
-    of chi is not asserted.  Where both sides are exact rationals (Q and
-    the imaginary fields), the verdict also requires them to be equal.
+    and compare with the analytic oracle.  The ratio compares absolute
+    values; the verdict also requires the signs of the identity,
+    chi = h*R/w > 0 and zeta*(0) < 0.  Where both sides are exact rationals
+    (Q and the imaginary fields), it also requires chi_exact = -zeta*(0).
 
     An exception leaves with the stage that raised it, "invariants",
     "chi" or "oracle", as its `stage` attribute."""
@@ -209,11 +210,12 @@ def verify_field(d, tol: float = 1e-9) -> VerificationReport:
         exc.stage = stage
         raise
     order_ok = zstar.order == inv.unit_rank
+    sign_ok = chi > 0 and zstar.leading < 0
     # for Q and imaginary fields both sides are exact rationals, so beside
     # the tol gate they must also be equal
     exact_ok = chi_exact is None or chi_exact == -zstar.exact
-    verdict = ("pass" if abs(ratio - 1.0) <= tol and order_ok and exact_ok
-               else "fail")
+    verdict = ("pass" if abs(ratio - 1.0) <= tol and order_ok and sign_ok
+               and exact_ok else "fail")
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         invariants=inv,

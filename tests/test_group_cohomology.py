@@ -243,8 +243,8 @@ def test_p_max_precondition():
 @pytest.mark.parametrize("G,A", builder_cases())
 def test_group_cohomology_q_equals_full_complex_route(G, A):
     # the torsion of coker d_(q-1), read at the top degree, against
-    # complex_cohomology on a complex that also has d_q (and for q >= 1
-    # certifies its rank, so nothing about |G| is assumed there)
+    # complex_cohomology on a complex that also has d_q, whose rank comes
+    # from its Smith diagonal, so nothing about |G| is assumed there
     p_max = 4 if G.order * A.rank <= 12 else 3
     for build in (build_homogeneous_complex, build_inhomogeneous_complex):
         C = build(G, A, p_max)

@@ -314,6 +314,34 @@ def test_verify_requires_exact_equality_where_both_sides_are_exact(
         assert not report.passed, d
 
 
+def test_verify_requires_the_signs_of_the_identity(monkeypatch):
+    # zeta*(0) = -h*R/w < 0: a sign-flipped L'(0, chi) leaves the ratio of
+    # absolute values at 1, and every real field of the corpus must fail
+    import zetachi.zeta as zeta
+    real_L_prime = zeta.L_prime_at_zero
+    monkeypatch.setattr(zeta, "L_prime_at_zero", lambda chi: -real_L_prime(chi))
+    real_fields = [d for d in CORPUS if d > 0]
+    assert len(real_fields) == 90
+    for d in real_fields:
+        report = verify_field(d)
+        assert report.zeta_star.leading > 0, d
+        assert report.ratio == pytest.approx(1.0, abs=1e-12), d
+        assert not report.passed, d
+
+
+def test_verify_requires_a_positive_chi(monkeypatch, fresh_profiles):
+    # a sign-flipped chi passes the |chi| = h*R/w guard and the ratio, and
+    # for Q and -23 its exact torsion product still equals -zeta*(0)
+    import zetachi.weil_cohomology as wc
+    real = wc.euler_characteristic
+    monkeypatch.setattr(wc, "euler_characteristic", lambda g: -real(g))
+    for d in (RATIONAL_FIELD, -23, 5):
+        report = wc.verify_field(d)
+        assert report.chi < 0, d
+        assert report.ratio == pytest.approx(1.0, abs=1e-12), d
+        assert not report.passed, d
+
+
 def test_verify_detects_oracle_mismatch():
     inv = field_invariants(5)
     import zetachi.weil_cohomology as wc
